@@ -8,7 +8,7 @@ written with nine significant digits.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or usage
 error.  The worker count for process-parallel sweeps comes from the
-ISINGLAB_WORKERS environment variable (default: all cores).
+ISINGLAB_WORKERS environment variable (default and cap: all cores).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def worker_count() -> int:
             raise ConfigError(f"ISINGLAB_WORKERS must be an integer, got {raw!r}") from e
         if count < 1:
             raise ConfigError("ISINGLAB_WORKERS must be >= 1")
-        return count
+        return min(count, os.cpu_count() or 1)
     return os.cpu_count() or 1
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import kernels
 from .errors import MonotonicityError, SizeError
 from .model import (
+    EXACT_ENUM_CAP,
     ExactDistribution,
     IsingModel,
     all_minus,
@@ -71,19 +72,6 @@ class UpdateStream:
         return us
 
 
-def glauber_step(m: IsingModel, s: np.ndarray, v: int, u: float) -> np.ndarray:
-    """One heat-bath update of site v driven by uniform u; returns a copy."""
-    if m.graph.clamp[v] != 0:
-        raise ValueError(f"vertex {v} is clamped")
-    out = spins_array(s).copy()
-    g = m.graph
-    kernels.chain_steps(
-        g.indptr, g.indices, g.weights, g.h, out,
-        np.array([v], dtype=np.int64), np.array([u], dtype=np.float64),
-    )
-    return out
-
-
 def run_chain(m: IsingModel, s0: np.ndarray, steps: int, stream: UpdateStream) -> np.ndarray:
     """Advance a chain ``steps`` updates from s0; returns the final state."""
     s = spins_array(s0).copy()
@@ -104,10 +92,10 @@ def empirical_distribution(m: IsingModel, s0: np.ndarray, steps: int, thin: int,
     """Occupation frequencies of the chain, thinned, as a distribution.
 
     Counts the configuration bitmask every ``thin`` updates; n is capped
-    at 20 by the counts table.
+    at EXACT_ENUM_CAP by the counts table.
     """
-    if m.n > 20:
-        raise SizeError("occupation counts capped at 20 vertices")
+    if m.n > EXACT_ENUM_CAP:
+        raise SizeError(f"occupation counts capped at {EXACT_ENUM_CAP} vertices")
     if thin < 1:
         raise ValueError("thin must be >= 1")
     s = spins_array(s0).copy()
@@ -236,49 +224,6 @@ def _check_blocks(m: IsingModel, blocks: list[list[int]]) -> list[np.ndarray]:
     return out
 
 
-def _block_conditional(m: IsingModel, s: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Probabilities over the 2^|block| joint states of a block, given the rest."""
-    g = m.graph
-    k = block.size
-    states = np.arange(1 << k, dtype=np.int64)
-    logw = np.zeros(1 << k)
-    inside = np.full(g.n, -1, dtype=np.int64)
-    inside[block] = np.arange(k)
-    for pos, v in enumerate(block):
-        sv = 2.0 * ((states >> pos) & 1) - 1.0
-        f_out = g.h[v]
-        nbrs, wts = g.neighbors(int(v))
-        for x, b in zip(nbrs, wts):
-            x = int(x)
-            if inside[x] >= 0:
-                if inside[x] > pos:  # count internal edges once
-                    sx = 2.0 * ((states >> inside[x]) & 1) - 1.0
-                    logw += b * sv * sx
-            else:
-                f_out += b * s[x]
-        logw += f_out * sv
-    logw -= logw.max()
-    p = np.exp(logw)
-    return p / p.sum()
-
-
-def block_dynamics_step(m: IsingModel, s: np.ndarray, blocks: list[list[int]],
-                        which: int, u: float) -> np.ndarray:
-    """Resample one block from its exact conditional; returns a copy.
-
-    The new joint state is read off the conditional's CDF at ``u``.
-    """
-    checked = _check_blocks(m, blocks)
-    block = checked[which]
-    s = spins_array(s).copy()
-    p = _block_conditional(m, s, block)
-    state = int(np.searchsorted(np.cumsum(p), u, side="right"))
-    state = min(state, p.size - 1)
-    for pos, v in enumerate(block):
-        s[v] = 1 if (state >> pos) & 1 else -1
-    return s
-
-
 # ---------------------------------------------------------------------------
 # exact spectra
 
@@ -310,8 +255,7 @@ def _state_spins(m: IsingModel, free: np.ndarray) -> np.ndarray:
 def _dense_couplings(m: IsingModel) -> np.ndarray:
     g = m.graph
     w = np.zeros((g.n, g.n))
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    w[rows, g.indices] = g.weights
+    w[g.rows(), g.indices] = g.weights
     return w
 
 

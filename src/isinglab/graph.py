@@ -53,16 +53,19 @@ class WeightedGraph:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
+    def rows(self) -> np.ndarray:
+        """Source vertex of each directed half-edge, aligned with indices."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) int64 array with u < v, lexicographically sorted."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        rows = self.rows()
         keep = rows < self.indices
         return np.column_stack([rows[keep], self.indices[keep]])
 
     def edge_weights(self) -> np.ndarray:
         """Couplings aligned with edge_array()."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        return self.weights[rows < self.indices]
+        return self.weights[self.rows() < self.indices]
 
     def beta_max(self) -> float:
         return float(self.weights.max()) if self.weights.size else 0.0
@@ -166,12 +169,6 @@ class RootedTree:
         deg = self.num_children()
         deg[1:] += 1
         return deg
-
-    def children_lists(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.size)]
-        for i in range(1, self.size):
-            out[self.parent[i]].append(i)
-        return out
 
 
 def make_rooted_tree(parent, depth=None, label=None) -> RootedTree:

@@ -1,42 +1,37 @@
-"""Hot inner loops, compiled with numba when available.
+"""Hot inner loops, jitted when numba is importable.
 
 Each kernel is written once as a plain Python function over numpy arrays
-and compiled with ``numba.njit`` at import time.  Setting the environment
-variable ``ISINGLAB_NO_NUMBA=1`` (or running without numba installed)
-selects the uncompiled source instead; both paths execute the identical
-statements, so results are bit-equal.  ``fastmath`` stays off for the same
-reason.
-
-The compiled/uncompiled pairs are exercised against each other in
-``tests/test_kernels.py`` and timed in ``benchmarks/bench_kernels.py``.
+under a single ``_jit`` decorator: ``numba.njit(cache=True,
+fastmath=False)`` when numba can be imported, the identity otherwise.
+numba is optional (the ``jit`` extra); pure Python is the measured path.
+With numba, ``kernel.py_func`` is the uncompiled source, and
+``tests/test_kernels.py`` checks the two agree bit for bit, which is why
+``fastmath`` stays off.
 """
 
 from __future__ import annotations
 
 import math
-import os
-
-import numpy as np
-
-
-def _flag_set(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-NUMBA_DISABLED = _flag_set("ISINGLAB_NO_NUMBA")
 
 try:
     import numba
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    numba = None
+    _jit = numba.njit(cache=True, fastmath=False)
+except ImportError:
     HAVE_NUMBA = False
 
-NUMBA_ENABLED = HAVE_NUMBA and not NUMBA_DISABLED
+    def _jit(fn):
+        return fn
 
 
-def py_chain_steps(indptr, indices, weights, h, spins, v_arr, u_arr):
+def backend() -> str:
+    """Name of the active kernel backend."""
+    return "numba" if HAVE_NUMBA else "python"
+
+
+@_jit
+def chain_steps(indptr, indices, weights, h, spins, v_arr, u_arr):
     """Apply len(v_arr) single-site heat-bath updates to spins, in place.
 
     At update t the site v = v_arr[t] is redrawn from its conditional
@@ -59,7 +54,8 @@ def py_chain_steps(indptr, indices, weights, h, spins, v_arr, u_arr):
     return 0
 
 
-def py_chain_steps_counted(indptr, indices, weights, h, spins, v_arr, u_arr, thin, counts):
+@_jit
+def chain_steps_counted(indptr, indices, weights, h, spins, v_arr, u_arr, thin, counts):
     """Chain updates plus an occupation count of the visited configurations.
 
     Every ``thin``-th update the bitmask index of the current configuration
@@ -98,7 +94,8 @@ def py_chain_steps_counted(indptr, indices, weights, h, spins, v_arr, u_arr, thi
     return 0
 
 
-def py_coupled_steps(indptr, indices, weights, h, upper, lower, v_arr, u_arr, ham_start):
+@_jit
+def coupled_steps(indptr, indices, weights, h, upper, lower, v_arr, u_arr, ham_start):
     """Advance two chains through the same (site, uniform) stream.
 
     Both chains update the same site with the same uniform, which preserves
@@ -154,7 +151,8 @@ def py_coupled_steps(indptr, indices, weights, h, upper, lower, v_arr, u_arr, ha
     return ham, coupled_at, -1
 
 
-def py_tree_root_field(parent, edge_beta, h_node, clamp_node):
+@_jit
+def tree_root_field(parent, edge_beta, h_node, clamp_node):
     """Fold a rooted tree into the effective field at its root.
 
     Nodes are indexed so that parent[i] < i; a single descending pass
@@ -183,41 +181,3 @@ def py_tree_root_field(parent, edge_beta, h_node, clamp_node):
             contrib = math.atanh(x)
         field[parent[i]] += contrib
     return field[0]
-
-
-_SOURCES = {
-    "chain_steps": py_chain_steps,
-    "chain_steps_counted": py_chain_steps_counted,
-    "coupled_steps": py_coupled_steps,
-    "tree_root_field": py_tree_root_field,
-}
-
-if NUMBA_ENABLED:
-    _jit = numba.njit(cache=True, fastmath=False)
-    chain_steps = _jit(py_chain_steps)
-    chain_steps_counted = _jit(py_chain_steps_counted)
-    coupled_steps = _jit(py_coupled_steps)
-    tree_root_field = _jit(py_tree_root_field)
-else:
-    chain_steps = py_chain_steps
-    chain_steps_counted = py_chain_steps_counted
-    coupled_steps = py_coupled_steps
-    tree_root_field = py_tree_root_field
-
-
-def backend() -> str:
-    """Name of the active kernel backend."""
-    return "numba" if NUMBA_ENABLED else "python"
-
-
-def compiled_variants():
-    """Freshly compiled kernels for benchmarking, or None without numba."""
-    if not HAVE_NUMBA:
-        return None
-    jit = numba.njit(cache=True, fastmath=False)
-    return {name: jit(fn) for name, fn in _SOURCES.items()}
-
-
-def python_variants():
-    """The uncompiled kernel sources keyed like compiled_variants()."""
-    return dict(_SOURCES)

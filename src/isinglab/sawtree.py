@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from .errors import BudgetError, ConditioningError
 from .graph import RootedTree, WeightedGraph, make_rooted_tree
-from .model import IsingModel, merge_conditioning
+from .model import IsingModel, merge_conditioning, plus_prob
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -177,10 +177,7 @@ def saw_marginal_from_tree(st: SawTree, m: IsingModel,
     """Root marginal of an already-built walk tree under a conditioning."""
     h_node, clamp = _node_pins(st, m, cond, boundary)
     f = float(kernels.tree_root_field(st.tree.parent, st.edge_beta, h_node, clamp))
-    if f >= 0.0:
-        return float(1.0 / (1.0 + np.exp(-2.0 * f)))
-    e = np.exp(2.0 * f)
-    return float(e / (1.0 + e))
+    return plus_prob(f)
 
 
 def saw_marginal(m: IsingModel, v: int, depth_limit: int,

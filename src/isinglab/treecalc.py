@@ -18,6 +18,7 @@ import numpy as np
 
 from . import kernels
 from .graph import RootedTree, WeightedGraph, tree_as_graph
+from .model import plus_prob
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,7 @@ def root_marginal(tm: TreeModel) -> float:
     c = tm.clamp[0]
     if c != 0:
         return 1.0 if c > 0 else 0.0
-    f = root_field(tm)
-    if f >= 0.0:
-        return float(1.0 / (1.0 + np.exp(-2.0 * f)))
-    e = np.exp(2.0 * f)
-    return float(e / (1.0 + e))
+    return plus_prob(root_field(tm))
 
 
 def with_pins(tm: TreeModel, nodes, value: int) -> TreeModel:

@@ -717,14 +717,15 @@ def run_suite(name: str, overrides: dict | None = None) -> list[SuiteReport]:
     """Run one named suite, with optional keyword overrides for its parts."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    reports = []
-    for fn in SUITES[name]:
-        kwargs = {}
-        if overrides:
-            accepted = inspect.signature(fn).parameters
-            kwargs = {k: v for k, v in overrides.items() if k in accepted}
-        reports.append(fn(**kwargs))
-    return reports
+    overrides = overrides or {}
+    params = [inspect.signature(fn).parameters for fn in SUITES[name]]
+    accepted = sorted(set().union(*params))
+    unknown = sorted(set(overrides) - set(accepted))
+    if unknown:
+        raise KeyError(f"suite {name!r} accepts no key {', '.join(unknown)}; "
+                       f"it accepts {', '.join(accepted)}")
+    return [fn(**{k: v for k, v in overrides.items() if k in p})
+            for fn, p in zip(SUITES[name], params)]
 
 
 def format_report(report: SuiteReport, max_failures: int = 20) -> str:

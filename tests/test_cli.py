@@ -5,10 +5,11 @@ raw bytes to pin the reproducibility contract: same config, same rows.
 """
 
 import json
+import os
 
 import pytest
 
-from isinglab.cli import main
+from isinglab.cli import main, worker_count
 from isinglab.graph import read_graph
 
 SCAN_INI = """\
@@ -189,7 +190,18 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["coupling-scan", "-c", str(tmp_path / "missing.ini"), "-o", "/dev/null"]) == 2
     nonsense = write(tmp_path, "nonsense.ini", "[model]\nkind = blob\n\n[scan]\n")
     assert run(["decay-scan", "-c", nonsense, "-o", "/dev/null"]) == 2
-    capsys.readouterr()
+    typo = write(tmp_path, "typo.ini", "[verify]\nmodles = 3\n")
+    assert run(["verify", "tree-bounds", "-c", typo, "-o", "/dev/null"]) == 2
+    err = capsys.readouterr().err
+    assert "modles" in err and "max_len" in err
+
+
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("ISINGLAB_WORKERS", "1000000")
+    assert worker_count() == 2
+    monkeypatch.setenv("ISINGLAB_WORKERS", "1")
+    assert worker_count() == 1
 
 
 def test_config_keys_are_case_sensitive(tmp_path):

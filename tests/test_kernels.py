@@ -1,4 +1,4 @@
-"""Compiled and uncompiled kernel paths must agree bit for bit."""
+"""Compiled kernels and their uncompiled sources must agree bit for bit."""
 
 import numpy as np
 import pytest
@@ -29,15 +29,13 @@ pairs = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
 def test_chain_steps_bit_equal():
     rng = substream(11, "kernel-test", 0)
     g = _random_csr(rng)
-    comp = kernels.compiled_variants()
-    pure = kernels.python_variants()
     for trial in range(5):
         spins_a = np.where(rng.random(g.n) < 0.5, 1, -1).astype(np.int8)
         spins_b = spins_a.copy()
         v_arr = rng.integers(0, g.n, size=400)
         u_arr = rng.random(400)
-        comp["chain_steps"](g.indptr, g.indices, g.weights, g.h, spins_a, v_arr, u_arr)
-        pure["chain_steps"](g.indptr, g.indices, g.weights, g.h, spins_b, v_arr, u_arr)
+        kernels.chain_steps(g.indptr, g.indices, g.weights, g.h, spins_a, v_arr, u_arr)
+        kernels.chain_steps.py_func(g.indptr, g.indices, g.weights, g.h, spins_b, v_arr, u_arr)
         assert np.array_equal(spins_a, spins_b)
 
 
@@ -45,18 +43,16 @@ def test_chain_steps_bit_equal():
 def test_chain_steps_counted_bit_equal():
     rng = substream(12, "kernel-test", 1)
     g = _random_csr(rng, n=6, extra=3)
-    comp = kernels.compiled_variants()
-    pure = kernels.python_variants()
     spins_a = np.ones(g.n, dtype=np.int8)
     spins_b = spins_a.copy()
     counts_a = np.zeros(2**g.n, dtype=np.int64)
     counts_b = np.zeros(2**g.n, dtype=np.int64)
     v_arr = rng.integers(0, g.n, size=2000)
     u_arr = rng.random(2000)
-    comp["chain_steps_counted"](
+    kernels.chain_steps_counted(
         g.indptr, g.indices, g.weights, g.h, spins_a, v_arr, u_arr, 3, counts_a
     )
-    pure["chain_steps_counted"](
+    kernels.chain_steps_counted.py_func(
         g.indptr, g.indices, g.weights, g.h, spins_b, v_arr, u_arr, 3, counts_b
     )
     assert np.array_equal(spins_a, spins_b)
@@ -68,17 +64,15 @@ def test_chain_steps_counted_bit_equal():
 def test_coupled_steps_bit_equal():
     rng = substream(13, "kernel-test", 2)
     g = _random_csr(rng)
-    comp = kernels.compiled_variants()
-    pure = kernels.python_variants()
     up_a = np.ones(g.n, dtype=np.int8)
     lo_a = -np.ones(g.n, dtype=np.int8)
     up_b, lo_b = up_a.copy(), lo_a.copy()
     v_arr = rng.integers(0, g.n, size=3000)
     u_arr = rng.random(3000)
-    ra = comp["coupled_steps"](
+    ra = kernels.coupled_steps(
         g.indptr, g.indices, g.weights, g.h, up_a, lo_a, v_arr, u_arr, g.n
     )
-    rb = pure["coupled_steps"](
+    rb = kernels.coupled_steps.py_func(
         g.indptr, g.indices, g.weights, g.h, up_b, lo_b, v_arr, u_arr, g.n
     )
     assert tuple(ra) == tuple(rb)
@@ -89,8 +83,6 @@ def test_coupled_steps_bit_equal():
 @pairs
 def test_tree_root_field_bit_equal():
     rng = substream(14, "kernel-test", 3)
-    comp = kernels.compiled_variants()
-    pure = kernels.python_variants()
     for trial in range(20):
         nn = int(rng.integers(2, 40))
         parent = np.empty(nn, dtype=np.int64)
@@ -101,8 +93,8 @@ def test_tree_root_field_bit_equal():
         h_node = rng.uniform(-1.0, 1.0, size=nn)
         clamp = rng.choice(np.array([-1, 0, 0, 0, 1]), size=nn).astype(np.int8)
         clamp[0] = 0
-        fa = comp["tree_root_field"](parent, edge_beta, h_node, clamp)
-        fb = pure["tree_root_field"](parent, edge_beta, h_node, clamp)
+        fa = kernels.tree_root_field(parent, edge_beta, h_node, clamp)
+        fb = kernels.tree_root_field.py_func(parent, edge_beta, h_node, clamp)
         assert fa == fb
 
 

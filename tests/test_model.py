@@ -94,7 +94,15 @@ def test_conditional_plus_prob_matches_enumeration():
         sm[v] = -1
         wp = math.exp(log_weight(m, sp))
         wm = math.exp(log_weight(m, sm))
-        assert conditional_plus_prob(m, s, v) == pytest.approx(wp / (wp + wm), rel=1e-12)
+        p = conditional_plus_prob(m, s, v)
+        assert type(p) is float
+        assert p == pytest.approx(wp / (wp + wm), rel=1e-12)
+    # a Python float on both branches of the stable logistic
+    g = graph_from_edges(2, [(0, 1, 0.5)])
+    for spin, expect in ((1, 1.0 / (1.0 + math.exp(-1.0))), (-1, 1.0 / (1.0 + math.exp(1.0)))):
+        p = conditional_plus_prob(make_model(g), np.array([-1, spin], dtype=np.int8), 0)
+        assert type(p) is float
+        assert p == pytest.approx(expect, rel=1e-12)
 
 
 def test_exact_conditional_marginal_consistency():
@@ -159,6 +167,11 @@ def test_clamp_large_fields_preserves_conditional_law():
         m_big = make_model(g.with_vertex_data(h=h))
         m_clamped = clamp_large_fields(m_big)
         assert m_clamped.graph.clamp[v] == 1
+        # absorbed fields on free vertices stay below the clamp threshold
+        # plus one coupling per other vertex
+        out = m_clamped.graph
+        bound = 10.0 * m.beta_max * g.n + (g.n - 1) * m.beta_max
+        assert np.all(np.abs(out.h[out.clamp == 0]) <= bound)
         d_big = exact_distribution(m_big)
         d_cl = exact_distribution(make_model(m_clamped.graph))
         assert tv_distance(d_big, d_cl) <= 1e-9
