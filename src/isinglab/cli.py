@@ -163,36 +163,43 @@ def model_from_section(sec: Section) -> tuple[WeightedGraph, str]:
         return g, f"file:{path}"
     kind = sec.raw("kind", "er")
     beta = sec.get_float("beta", 1.0)
-    if kind == "er":
-        n = sec.get_int("n")
-        d = sec.get_float("d")
-        seed = sec.get_int("seed", 0)
-        g = generate_erdos_renyi(n, d, seed, beta=beta)
-        tag = f"er:n={n},d={_fmt(d)},seed={seed}"
-    elif kind == "star":
-        leaves = sec.get_int("leaves")
-        g = star_graph(leaves, beta)
-        tag = f"star:leaves={leaves}"
-    elif kind == "path":
-        g = path_graph(sec.get_int("n"), beta)
-        tag = f"path:n={g.n}"
-    elif kind == "cycle":
-        g = cycle_graph(sec.get_int("n"), beta)
-        tag = f"cycle:n={g.n}"
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    if sec.has("h"):
-        tokens = sec.raw("h").split()
-        if tokens[0] == "uniform":
-            if len(tokens) != 3:
-                raise ConfigError("h = uniform needs two bounds")
-            lo, hi = float(tokens[1]), float(tokens[2])
-            rng = substream(sec.get_int("seed", 0), "graph-fields")
-            h = rng.uniform(lo, hi, size=g.n)
-        elif len(tokens) == 1:
-            h = np.full(g.n, float(tokens[0]))
+    try:
+        if kind == "er":
+            n = sec.get_int("n")
+            d = sec.get_float("d")
+            seed = sec.get_int("seed", 0)
+            g = generate_erdos_renyi(n, d, seed, beta=beta)
+            tag = f"er:n={n},d={_fmt(d)},seed={seed}"
+        elif kind == "star":
+            leaves = sec.get_int("leaves")
+            g = star_graph(leaves, beta)
+            tag = f"star:leaves={leaves}"
+        elif kind == "path":
+            g = path_graph(sec.get_int("n"), beta)
+            tag = f"path:n={g.n}"
+        elif kind == "cycle":
+            g = cycle_graph(sec.get_int("n"), beta)
+            tag = f"cycle:n={g.n}"
         else:
-            raise ConfigError(f"bad h value {sec.raw('h')!r}")
+            raise ConfigError(f"unknown model kind {kind!r}")
+    except ValueError as e:
+        raise ConfigError(f"[{sec.name}] {e}") from e
+    if sec.has("h"):
+        raw = sec.raw("h")
+        tokens = raw.split()
+        try:
+            if tokens[:1] == ["uniform"]:
+                if len(tokens) != 3:
+                    raise ConfigError("h = uniform needs two bounds")
+                lo, hi = float(tokens[1]), float(tokens[2])
+                rng = substream(sec.get_int("seed", 0), "graph-fields")
+                h = rng.uniform(lo, hi, size=g.n)
+            elif len(tokens) == 1:
+                h = np.full(g.n, float(tokens[0]))
+            else:
+                raise ConfigError(f"bad h value {raw!r}")
+        except ValueError as e:
+            raise ConfigError(f"bad h value {raw!r}: {e}") from e
         g = g.with_vertex_data(h=h)
     return g, tag
 
@@ -308,6 +315,8 @@ def cmd_decay_scan(args) -> int:
     g, _ = model_from_section(Section(cfg, "model"))
     sec = Section(cfg, "scan")
     radii = sec.get_ints("radii", "2 3 4 5 6 7 8 9 10")
+    if any(l < 0 for l in radii):
+        raise ConfigError(f"[scan] radii must be >= 0, got {sec.raw('radii')!r}")
     max_nodes = sec.get_int("max_nodes", 10**6)
     master = sec.get_int("master_seed", DEFAULT_MASTER_SEED)
     m = make_model(g)
@@ -320,6 +329,8 @@ def cmd_decay_scan(args) -> int:
             count = int(raw_vertices)
         except ValueError as e:
             raise ConfigError("[scan] vertices must be a count or 'all'") from e
+        if count < 0:
+            raise ConfigError(f"[scan] vertices must be >= 0, got {count}")
         count = min(count, g.n)
         rng = substream(master, "decay-scan-vertices")
         vertices = sorted(int(v) for v in rng.choice(g.n, size=count, replace=False))

@@ -12,7 +12,8 @@ ascending, which the tree constructions below rely on for determinism.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,16 @@ class WeightedGraph:
     @property
     def num_edges(self) -> int:
         return self.indices.shape[0] // 2
+
+    @cached_property
+    def csr_lists(self) -> tuple[list[int], list[int], list[float]]:
+        """(indptr, indices, weights) as Python lists, built on first use.
+
+        Python loops read list items much faster than numpy scalars.  The
+        lists are cached in the instance ``__dict__``, so fields, equality
+        and frozenness are unaffected; callers must not mutate them.
+        """
+        return self.indptr.tolist(), self.indices.tolist(), self.weights.tolist()
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -276,6 +287,45 @@ def ball(g: WeightedGraph, v: int, radius: int) -> Ball:
         h=g.h[vertices], clamp=g.clamp[vertices],
     )
     return Ball(int(v), int(radius), _freeze(vertices), _freeze(dist), sub)
+
+
+def ball_excesses(g: WeightedGraph, radius: int) -> np.ndarray:
+    """Cycle excess of every vertex's radius-``radius`` ball, by counting.
+
+    Entry v equals ``tree_excess(ball(g, v, radius).subgraph)``, but no
+    subgraph is built: a BFS over ``csr_lists`` counts the ball's vertices
+    and its induced edges.  Every neighbour of a vertex at distance below
+    ``radius`` lies in the ball, so the edge count is half of those
+    vertices' degree sum plus the in-ball neighbours of the sphere.  One
+    stamp list, marking membership by center id, serves every center.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    indptr, indices, _ = g.csr_lists
+    stamp = [-1] * g.n
+    out = np.empty(g.n, dtype=np.int64)
+    for v in range(g.n):
+        stamp[v] = v
+        frontier = [v]
+        size = 1
+        half_edges = 0
+        for _ in range(radius):
+            nxt = []
+            for u in frontier:
+                lo, hi = indptr[u], indptr[u + 1]
+                half_edges += hi - lo
+                for w in indices[lo:hi]:
+                    if stamp[w] != v:
+                        stamp[w] = v
+                        nxt.append(w)
+            size += len(nxt)
+            frontier = nxt
+        for u in frontier:
+            for w in indices[indptr[u]:indptr[u + 1]]:
+                if stamp[w] == v:
+                    half_edges += 1
+        out[v] = half_edges // 2 - size + 1
+    return out
 
 
 def bfs_spanning_tree(b: Ball) -> tuple[RootedTree, list[tuple[int, int]]]:

@@ -77,74 +77,59 @@ def _expand(g: WeightedGraph, v: int, depth_limit: int, max_nodes: int, collect:
         raise ValueError(f"root vertex {v} out of range")
     if depth_limit < 0:
         raise ValueError("depth limit must be >= 0")
-    indptr, indices, weights = g.indptr, g.indices, g.weights
-    walk_pos = np.full(g.n, -1, dtype=np.int64)  # depth of vertex on current walk
-    walk = np.full(depth_limit + 1, -1, dtype=np.int64)
+    v = int(v)
+    indptr, indices, weights = g.csr_lists
+    on_walk = {v: 0}  # vertex -> its depth on the current walk
+    walk = [v] + [-1] * depth_limit  # walk[j] = vertex at depth j
 
     parent = [-1]
     depth = [0]
-    label = [int(v)]
+    label = [v]
     ebeta = [0.0]
     fixed = [0]
     count = 1
 
-    if depth_limit == 0:
-        if collect:
-            return (np.array(parent), np.array(depth), np.array(label),
-                    np.array(ebeta), np.array(fixed, dtype=np.int8))
-        return count
-
-    walk_pos[v] = 0
-    walk[0] = v
     # stack entries: [tree node, vertex, next CSR pointer, walk depth]
-    stack = [[0, int(v), int(indptr[v]), 0]]
+    stack = [[0, v, indptr[v], 0]] if depth_limit > 0 else []
     while stack:
         top = stack[-1]
         node, u, ptr, dep = top
-        end = int(indptr[u + 1])
-        child = -1
+        end = indptr[u + 1]
+        back = walk[dep - 1] if dep > 0 else -1
         while ptr < end:
-            x = int(indices[ptr])
-            w = float(weights[ptr])
+            x = indices[ptr]
             ptr += 1
-            if dep > 0 and x == walk[dep - 1]:
-                continue  # immediate backtrack is not a walk extension
-            child = x
-            break
-        top[2] = ptr
-        if child < 0:
-            walk_pos[u] = -1
+            if x != back:  # an immediate backtrack is not a walk extension
+                break
+        else:
+            del on_walk[u]
             stack.pop()
             continue
+        top[2] = ptr
 
         count += 1
         if count > max_nodes:
             raise BudgetError(f"walk tree exceeded {max_nodes} nodes")
-        x = child
-        if walk_pos[x] >= 0:
+        j = on_walk.get(x)
+        if j is not None:
             # closes a cycle at the earlier visit of x
-            departed_to = int(walk[walk_pos[x] + 1])
-            pin = 1 if u > departed_to else -1
-            if collect:
-                parent.append(node)
-                depth.append(dep + 1)
-                label.append(x)
-                ebeta.append(w)
-                fixed.append(pin)
+            pin = 1 if u > walk[j + 1] else -1
         else:
-            if collect:
-                parent.append(node)
-                depth.append(dep + 1)
-                label.append(x)
-                ebeta.append(w)
-                fixed.append(0)
+            pin = 0
             if dep + 1 < depth_limit:
-                walk_pos[x] = dep + 1
+                on_walk[x] = dep + 1
                 walk[dep + 1] = x
-                stack.append([count - 1 if collect else 0, x, int(indptr[x]), dep + 1])
+                stack.append([count - 1, x, indptr[x], dep + 1])
+        if collect:
+            parent.append(node)
+            depth.append(dep + 1)
+            label.append(x)
+            ebeta.append(weights[ptr - 1])
+            fixed.append(pin)
     if collect:
-        return (np.array(parent), np.array(depth), np.array(label),
-                np.array(ebeta), np.array(fixed, dtype=np.int8))
+        return (np.array(parent, dtype=np.int64), np.array(depth, dtype=np.int64),
+                np.array(label, dtype=np.int64), np.array(ebeta, dtype=np.float64),
+                np.array(fixed, dtype=np.int8))
     return count
 
 

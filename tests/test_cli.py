@@ -194,6 +194,19 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["verify", "tree-bounds", "-c", typo, "-o", "/dev/null"]) == 2
     err = capsys.readouterr().err
     assert "modles" in err and "max_len" in err
+    # bad model or scan values end with a message, not a traceback
+    for old, new in [
+        ("seed = 3", "seed = 3\nh = uniform a b"),
+        ("seed = 3", "seed = 3\nh ="),
+        ("n = 120", "n = 0"),
+        ("beta = 0.4", "beta = -1"),
+        ("radii = 2 3", "radii = -1 2"),
+        ("vertices = 4", "vertices = -3"),
+    ]:
+        cfg = write(tmp_path, "bad-decay.ini", DECAY_INI.replace(old, new))
+        assert run(["decay-scan", "-c", cfg, "-o", "/dev/null"]) == 2, new
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, new
 
 
 def test_worker_count_capped_at_cpu_count(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -7,6 +8,7 @@ from isinglab.errors import BudgetError
 from isinglab.graph import (
     Ball,
     ball,
+    ball_excesses,
     bfs_spanning_tree,
     cycle_graph,
     generate_erdos_renyi,
@@ -128,6 +130,41 @@ def test_ball_induced_includes_chords():
     assert sorted(b.vertices.tolist()) == [0, 1, 3]
     assert b.subgraph.num_edges == 3
     assert tree_excess(b.subgraph) == 1
+
+
+def test_csr_lists_cached_and_equal_to_arrays():
+    g = generate_erdos_renyi(40, 2.5, seed=6, beta=0.3)
+    lists = g.csr_lists
+    assert lists == (g.indptr.tolist(), g.indices.tolist(), g.weights.tolist())
+    assert g.csr_lists is lists
+    assert g.with_vertex_data(h=np.ones(g.n)).csr_lists == lists
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.n = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.indptr = g.indptr
+
+
+def test_ball_excesses_match_ball_subgraphs():
+    graphs = [
+        path_graph(1), path_graph(5), path_graph(9), cycle_graph(3),
+        cycle_graph(7), star_graph(1), star_graph(6),
+        generate_erdos_renyi(200, 1.0, seed=1),  # many isolated vertices
+        generate_erdos_renyi(150, 3.0, seed=2),
+        generate_erdos_renyi(60, 6.0, seed=3),
+    ]
+    assert any(np.any(g.degrees() == 0) for g in graphs)
+    for g in graphs:
+        for r in range(6):  # reaches past the diameter of the small graphs
+            got = ball_excesses(g, r)
+            assert got.dtype == np.int64 and got.shape == (g.n,)
+            want = [tree_excess(ball(g, v, r).subgraph) for v in range(g.n)]
+            assert got.tolist() == want
+    # the radius-3 ball of a 7-cycle closes it through the edge between
+    # its two sphere vertices
+    assert ball_excesses(cycle_graph(7), 2).tolist() == [0] * 7
+    assert ball_excesses(cycle_graph(7), 3).tolist() == [1] * 7
+    with pytest.raises(ValueError):
+        ball_excesses(path_graph(4), -1)
 
 
 def test_excess_equals_nontree_edges():

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from isinglab.errors import BudgetError, ConditioningError
-from isinglab.graph import cycle_graph, graph_from_edges, path_graph
+from isinglab.graph import cycle_graph, generate_erdos_renyi, graph_from_edges, path_graph
 from isinglab.model import exact_conditional_marginal, make_model
 from isinglab.rng import substream
 from isinglab.sawtree import (
@@ -44,6 +46,39 @@ def test_walk_tree_size_matches_build():
     for L in (1, 2, 4, 8):
         st = build_saw_tree(g, 0, L)
         assert saw_tree_size(g, 0, L) == st.size
+
+
+# sha256 over every array of build_saw_tree on ER n=60, d=3, beta=0.37,
+# seeds 0-4, roots 0, 7, ..., 56 and L in {0, 1, 3, 6}, recorded from the
+# numpy-array expander before it was rewritten to walk csr_lists
+LAYOUT_SHA256 = "fc3be68f61ee55c7494c5f771a6147d0425ac6449bb0a70f550303c3e52a8fa6"
+
+
+def test_walk_tree_layout_pinned():
+    h = hashlib.sha256()
+    for seed in range(5):
+        g = generate_erdos_renyi(60, 3.0, seed, beta=0.37)
+        for root in range(0, 60, 7):
+            for L in (0, 1, 3, 6):
+                st = build_saw_tree(g, root, L)
+                for a in (st.tree.parent, st.tree.depth, st.tree.label):
+                    h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+                h.update(np.ascontiguousarray(st.edge_beta, dtype=np.float64).tobytes())
+                h.update(np.ascontiguousarray(st.fixed, dtype=np.int8).tobytes())
+                h.update(np.ascontiguousarray(st.boundary, dtype=np.int64).tobytes())
+                assert saw_tree_size(g, root, L) == st.size
+    assert h.hexdigest() == LAYOUT_SHA256
+
+
+def test_numpy_integer_root_gives_same_tree():
+    g = generate_erdos_renyi(60, 3.0, 2, beta=0.37)
+    a = build_saw_tree(g, 14, 4)
+    b = build_saw_tree(g, np.int64(14), 4)
+    assert saw_tree_dump(a) == saw_tree_dump(b)
+    assert np.array_equal(a.tree.parent, b.tree.parent)
+    assert np.array_equal(a.edge_beta, b.edge_beta)
+    assert b.tree.label.dtype == np.int64 and int(b.tree.label[0]) == 14
+    assert saw_tree_size(g, np.int32(14), 4) == a.size
 
 
 def test_depth_limit_creates_boundary():
