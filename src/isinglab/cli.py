@@ -39,7 +39,7 @@ from .graph import (
 )
 from .model import clamp_large_fields, make_model
 from .rng import substream
-from .sampler import algorithm1_sample, radius_for
+from .sampler import algorithm1_samples, radius_for
 from .sawtree import build_saw_tree, saw_marginal_from_tree
 from .verify import DEFAULT_MASTER_SEED, er_coupling_run, star_coupling_run
 
@@ -113,12 +113,15 @@ class Section:
     def has(self, key: str) -> bool:
         return key in self._items
 
-    def get_int(self, key: str, default: int | None = None) -> int:
+    def get_int(self, key: str, default: int | None = None, minimum: int | None = None) -> int:
         raw = self.raw(key, None if default is None else str(default))
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError as e:
             raise ConfigError(f"[{self.name}] {key} must be an integer, got {raw!r}") from e
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"[{self.name}] {key} must be >= {minimum}, got {value}")
+        return value
 
     def get_float(self, key: str, default: float | None = None) -> float:
         raw = self.raw(key, None if default is None else repr(default))
@@ -362,29 +365,27 @@ def cmd_sample(args) -> int:
     if clamped:
         m = clamp_large_fields(m)
     if sec.has("L"):
-        depth = sec.get_int("L")
+        depth = sec.get_int("L", minimum=0)
     elif sec.has("r"):
         depth = radius_for(m.n, sec.get_float("r"))
     else:
         raise ConfigError("[sample] needs L (radius) or r (radius factor)")
-    draws = sec.get_int("draws", 1)
+    draws = sec.get_int("draws", 1, minimum=1)
     master = sec.get_int("master_seed", DEFAULT_MASTER_SEED)
-    max_nodes = sec.get_int("max_nodes", 10**7)
-    runs = []
-    for k in range(draws):
-        stream = UpdateStream(m, master, chain_id=k)
-        try:
-            run = algorithm1_sample(m, depth, stream, max_nodes=max_nodes)
-        except IsinglabError as e:
-            print(f"sampling draw {k} failed: {e}", file=sys.stderr)
-            return 2
-        runs.append(run.to_json_dict())
+    max_nodes = sec.get_int("max_nodes", 10**7, minimum=1)
+    streams = [UpdateStream(m, master, chain_id=k) for k in range(draws)]
+    try:
+        runs = algorithm1_samples(m, depth, streams, max_nodes=max_nodes)
+    except IsinglabError as e:
+        # the walk trees do not depend on the draw, so draw 0 fails first
+        print(f"sampling draw 0 failed: {e}", file=sys.stderr)
+        return 2
     doc = {
         "config": {s: dict(cfg.items(s)) for s in cfg.sections()},
         "model": model_tag,
         "clamped": clamped,
         "master_seed": master,
-        "runs": runs,
+        "runs": [run.to_json_dict() for run in runs],
     }
     _emit(args.output, [json.dumps(doc, indent=2, sort_keys=True)])
     return 0
@@ -410,7 +411,9 @@ def cmd_gw_stats(args) -> int:
     sec = Section(cfg, "gw")
     d = sec.get_float("d", 2.0)
     radii = sec.get_ints("radii", "4 6 8")
-    seeds = sec.get_int("seeds", 10000)
+    if not radii or min(radii) < 0:
+        raise ConfigError(f"[gw] radii must be one or more values >= 0, got {sec.raw('radii')!r}")
+    seeds = sec.get_int("seeds", 10000, minimum=1)
     t_scale = sec.get_float("t", 1.0)
     master = sec.get_int("master_seed", DEFAULT_MASTER_SEED)
     depth = max(radii)

@@ -11,6 +11,10 @@ bracketed by the free-boundary pinning gap, so the output law is within
 of the target in total variation.  The radius needed for a prescribed
 polynomial accuracy grows like a constant times log n; see
 :func:`sufficient_radius_factor`.
+
+A walk tree depends only on the graph, its root and L, so each free
+vertex's tree is built once and re-folded under every draw's or prefix's
+conditioning, carried as a pins vector updated in place.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from .dynamics import UpdateStream
 from .errors import SizeError
 from .model import ExactDistribution, IsingModel
-from .sawtree import DEFAULT_NODE_BUDGET, build_saw_tree, saw_marginal_from_tree
+from .sawtree import DEFAULT_NODE_BUDGET, build_saw_tree, saw_marginal_from_pins
 
 OUTPUT_LAW_VERTEX_CAP = 14
 
@@ -48,60 +52,65 @@ class SamplerRun:
         }
 
 
+def algorithm1_samples(m: IsingModel, depth_limit: int, streams: list[UpdateStream],
+                       max_nodes: int = DEFAULT_NODE_BUDGET) -> list[SamplerRun]:
+    """One draw per stream in lockstep, building each walk tree once.
+
+    Draw k's pins vector is also its spins; draw k reads only ``streams[k]``.
+    """
+    free = m.graph.free_vertices()
+    us = [stream.next_uniforms(free.size) for stream in streams]
+    spins = [m.graph.clamp.copy() for _ in streams]
+    ps = np.empty((len(streams), free.size))
+    sizes = np.empty(free.size, dtype=np.int64)
+    for i, v in enumerate(free):
+        st = build_saw_tree(m.graph, int(v), depth_limit, max_nodes=max_nodes)
+        sizes[i] = st.size
+        for k, pins in enumerate(spins):
+            p = saw_marginal_from_pins(st, m, pins)
+            pins[v] = 1 if us[k][i] <= p else -1
+            ps[k, i] = p
+    return [SamplerRun(depth_limit, free.copy(), ps[k], spins[k], sizes.copy())
+            for k in range(len(streams))]
+
+
 def algorithm1_sample(m: IsingModel, depth_limit: int, stream: UpdateStream,
                       max_nodes: int = DEFAULT_NODE_BUDGET) -> SamplerRun:
     """Draw one configuration by sequential walk-tree marginals."""
-    free = m.graph.free_vertices()
-    spins = m.graph.clamp.copy()
-    order = free.copy()
-    ps = np.empty(free.size)
-    sizes = np.empty(free.size, dtype=np.int64)
-    us = stream.next_uniforms(free.size)
-    cond: dict[int, int] = {}
-    for i, v in enumerate(free):
-        st = build_saw_tree(m.graph, int(v), depth_limit, max_nodes=max_nodes)
-        p = saw_marginal_from_tree(st, m, cond=cond)
-        val = 1 if us[i] <= p else -1
-        cond[int(v)] = val
-        spins[v] = val
-        ps[i] = p
-        sizes[i] = st.size
-    return SamplerRun(depth_limit, order, ps, spins, sizes)
+    return algorithm1_samples(m, depth_limit, [stream], max_nodes)[0]
 
 
 def algorithm1_output_law(m: IsingModel, depth_limit: int,
                           max_nodes: int = DEFAULT_NODE_BUDGET) -> ExactDistribution:
     """Exact distribution of the sampler's output, by prefix enumeration.
 
-    Walks the binary tree of assignments, multiplying each step's marginal;
-    costs one walk-tree evaluation per internal prefix (2^k - 1 in total
-    for k free vertices).
+    Walks the binary tree of assignments, multiplying each step's marginal.
+    The k free vertices' trees are built once and re-pinned at each prefix,
+    so each of the 2^k - 1 internal prefixes costs one fold.
     """
     free = m.graph.free_vertices()
     k = free.size
     if m.n > OUTPUT_LAW_VERTEX_CAP:
         raise SizeError(f"output-law enumeration capped at {OUTPUT_LAW_VERTEX_CAP} vertices")
+    trees = [build_saw_tree(m.graph, int(v), depth_limit, max_nodes=max_nodes) for v in free]
     probs = np.zeros(1 << m.n)
     base = 0
     for v in range(m.n):
         if m.graph.clamp[v] > 0:
             base |= 1 << v
-    cond: dict[int, int] = {}
+    pins = m.graph.clamp.copy()
 
     def descend(i: int, mask: int, weight: float) -> None:
         if i == k:
             probs[mask] += weight
             return
         v = int(free[i])
-        p = saw_marginal_from_tree(
-            build_saw_tree(m.graph, v, depth_limit, max_nodes=max_nodes),
-            m, cond=cond,
-        )
-        cond[v] = 1
+        p = saw_marginal_from_pins(trees[i], m, pins)
+        pins[v] = 1
         descend(i + 1, mask | (1 << v), weight * p)
-        cond[v] = -1
+        pins[v] = -1
         descend(i + 1, mask, weight * (1.0 - p))
-        del cond[v]
+        pins[v] = 0
 
     descend(0, base, 1.0)
     return ExactDistribution(m.n, probs, None)

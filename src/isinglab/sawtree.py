@@ -133,15 +133,14 @@ def _expand(g: WeightedGraph, v: int, depth_limit: int, max_nodes: int, collect:
     return count
 
 
-def _node_pins(st: SawTree, m: IsingModel, cond: dict[int, int] | None,
+def _node_pins(st: SawTree, m: IsingModel, pins: np.ndarray,
                boundary: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (h, clamp) arrays for evaluating a walk-tree marginal.
 
-    Conditioned or model-clamped spins are copied onto every occurrence of
-    their vertex and override cycle-closure pins there; free truncation
-    leaves are pinned per ``boundary`` ("free", "plus" or "minus").
+    Spins pinned in ``pins`` are copied onto every occurrence of their
+    vertex and override cycle-closure pins there; free truncation leaves
+    are pinned per ``boundary`` ("free", "plus" or "minus").
     """
-    pins = merge_conditioning(m, cond)
     labels = st.tree.label
     root_vertex = int(labels[0])
     if pins[root_vertex] != 0:
@@ -156,13 +155,23 @@ def _node_pins(st: SawTree, m: IsingModel, cond: dict[int, int] | None,
     return m.graph.h[labels].copy(), clamp
 
 
+def saw_marginal_from_pins(st: SawTree, m: IsingModel, pins: np.ndarray,
+                           boundary: str = "free") -> float:
+    """Root marginal of a built walk tree under a pins vector.
+
+    ``pins`` is +-1 at every clamped or conditioned vertex and 0 elsewhere,
+    as :func:`merge_conditioning` returns it, and is used unchecked.
+    """
+    h_node, clamp = _node_pins(st, m, pins, boundary)
+    f = float(kernels.tree_root_field(st.tree.parent, st.edge_beta, h_node, clamp))
+    return plus_prob(f)
+
+
 def saw_marginal_from_tree(st: SawTree, m: IsingModel,
                            cond: dict[int, int] | None = None,
                            boundary: str = "free") -> float:
     """Root marginal of an already-built walk tree under a conditioning."""
-    h_node, clamp = _node_pins(st, m, cond, boundary)
-    f = float(kernels.tree_root_field(st.tree.parent, st.edge_beta, h_node, clamp))
-    return plus_prob(f)
+    return saw_marginal_from_pins(st, m, merge_conditioning(m, cond), boundary)
 
 
 def saw_marginal(m: IsingModel, v: int, depth_limit: int,

@@ -4,6 +4,7 @@ Commands run in-process through ``main(argv)``; outputs are compared as
 raw bytes to pin the reproducibility contract: same config, same rows.
 """
 
+import hashlib
 import json
 import os
 
@@ -148,6 +149,38 @@ def test_sample_json(tmp_path):
     assert doc["runs"][0] != doc["runs"][1]
 
 
+SAMPLE_PIN_INI = """\
+[model]
+kind = er
+n = 200
+d = 2.0
+beta = 0.3
+seed = 4
+
+[sample]
+L = 5
+draws = 3
+"""
+
+
+def test_sample_bytes_pinned(tmp_path):
+    # sha256 recorded when each draw still rebuilt every walk tree
+    cfg = write(tmp_path, "pin.ini", SAMPLE_PIN_INI)
+    out = tmp_path / "pin.json"
+    assert run(["sample", "-c", cfg, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "cec1978559e991b287ee818d10ee787cfd690d20b83d30866e7208d5c09dadff"
+    )
+
+
+def test_sample_budget_failure_writes_nothing(tmp_path, capsys):
+    cfg = write(tmp_path, "tiny.ini", SAMPLE_INI.replace("draws = 2", "draws = 3\nmax_nodes = 2"))
+    out = tmp_path / "tiny.json"
+    assert run(["sample", "-c", cfg, "-o", str(out)]) == 2
+    assert "sampling draw 0 failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_graph_gen_output_parses(tmp_path):
     cfg = write(tmp_path, "gen.ini", GEN_INI)
     out = tmp_path / "g.graph"
@@ -205,6 +238,20 @@ def test_exit_codes(tmp_path, capsys):
     ]:
         cfg = write(tmp_path, "bad-decay.ini", DECAY_INI.replace(old, new))
         assert run(["decay-scan", "-c", cfg, "-o", "/dev/null"]) == 2, new
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, new
+    for command, ini, old, new in [
+        ("sample", SAMPLE_INI, "L = 8", "L = -1"),
+        ("sample", SAMPLE_INI, "draws = 2", "draws = 0"),
+        ("sample", SAMPLE_INI, "draws = 2", "draws = -1"),
+        ("sample", SAMPLE_INI, "L = 8", "L = 0\nmax_nodes = 0"),
+        ("gw-stats", GW_INI, "seeds = 60", "seeds = 0"),
+        ("gw-stats", GW_INI, "seeds = 60", "seeds = -5"),
+        ("gw-stats", GW_INI, "radii = 3 4", "radii = -1 3"),
+        ("gw-stats", GW_INI, "radii = 3 4", "radii ="),
+    ]:
+        cfg = write(tmp_path, "bad.ini", ini.replace(old, new))
+        assert run([command, "-c", cfg, "-o", "/dev/null"]) == 2, new
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, new
 

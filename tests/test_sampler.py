@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -97,3 +98,18 @@ def test_sampler_on_random_models_matches_enumeration():
         m = random_connected_model(rng, min_n=3, max_n=7, beta_hi=0.5)
         law = algorithm1_output_law(m, m.n + 1)
         assert tv_distance(law, exact_distribution(m)) <= 1e-8
+
+
+def test_output_law_bytes_pinned():
+    # sha256 recorded when every prefix still rebuilt its walk tree
+    rng = substream(5, "output-law-pin")
+    h = hashlib.sha256()
+    for _ in range(6):
+        m = random_connected_model(rng, min_n=3, max_n=9, beta_hi=0.6, extra_edges=2)
+        clamp = np.zeros(m.n, dtype=np.int8)
+        clamp[0], clamp[m.n - 1] = 1, -1
+        for mm in (m, make_model(m.graph.with_vertex_data(clamp=clamp))):
+            for L in (1, 2, m.n + 1):
+                h.update(algorithm1_output_law(mm, L).probs.tobytes())
+    assert h.hexdigest() == "6075936bd377fc8c58acc9a08a4f1870520c421a7b377621587591666b239b26"
+
