@@ -285,13 +285,22 @@ def cmd_coupling_scan(args) -> int:
     kind = sec.raw("kind", "er")
     if kind not in ("er", "star"):
         raise ConfigError(f"scan kind must be er or star, got {kind!r}")
-    sizes = sec.get_ints("n" if kind == "er" else "leaves")
+    size_key = "n" if kind == "er" else "leaves"
+    sizes = sec.get_ints(size_key)
+    if not sizes or min(sizes) < 1:
+        raise ConfigError(
+            f"[scan] {size_key} must be one or more values >= 1, got {sec.raw(size_key)!r}"
+        )
     betas = sec.get_floats("beta")
+    if not betas or not all(0.0 <= b < math.inf for b in betas):
+        raise ConfigError(f"[scan] beta must be one or more values >= 0, got {sec.raw('beta')!r}")
     d = sec.get_float("d", 0.0) if kind == "er" else 0.0
     if kind == "er" and not sec.has("d"):
         raise ConfigError("[scan] needs d for kind = er")
-    seeds = sec.get_int("seeds", 20)
-    cap = sec.get_int("cap", 10_000_000)
+    if not 0.0 <= d <= min(sizes):
+        raise ConfigError(f"[scan] d must lie in [0, n] for every n, got {d}")
+    seeds = sec.get_int("seeds", 20, minimum=1)
+    cap = sec.get_int("cap", 10_000_000, minimum=1)
     master = sec.get_int("master_seed", DEFAULT_MASTER_SEED)
     tasks = sorted(
         (kind, size, d, beta, seed, cap, master)
@@ -320,7 +329,7 @@ def cmd_decay_scan(args) -> int:
     radii = sec.get_ints("radii", "2 3 4 5 6 7 8 9 10")
     if any(l < 0 for l in radii):
         raise ConfigError(f"[scan] radii must be >= 0, got {sec.raw('radii')!r}")
-    max_nodes = sec.get_int("max_nodes", 10**6)
+    max_nodes = sec.get_int("max_nodes", 10**6, minimum=1)
     master = sec.get_int("master_seed", DEFAULT_MASTER_SEED)
     m = make_model(g)
     beta_max = m.beta_max
@@ -364,6 +373,8 @@ def cmd_sample(args) -> int:
     clamped = sec.get_bool("clamp", False)
     if clamped:
         m = clamp_large_fields(m)
+    if m.graph.free_vertices().size == 0:
+        raise ConfigError("every vertex is clamped; there is nothing to sample")
     if sec.has("L"):
         depth = sec.get_int("L", minimum=0)
     elif sec.has("r"):

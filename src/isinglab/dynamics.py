@@ -22,8 +22,6 @@ import numpy as np
 from . import kernels
 from .errors import MonotonicityError, SizeError
 from .model import (
-    EXACT_ENUM_CAP,
-    ExactDistribution,
     IsingModel,
     all_minus,
     all_plus,
@@ -77,44 +75,15 @@ def run_chain(m: IsingModel, s0: np.ndarray, steps: int, stream: UpdateStream) -
     s = spins_array(s0).copy()
     if not respects_clamps(m, s):
         raise ValueError("initial configuration violates a clamp")
-    g = m.graph
+    indptr, indices, weights = m.graph.csr_lists
+    h = m.graph.h.tolist()
     done = 0
     while done < steps:
         k = min(_STEP_BLOCK, steps - done)
         vs, us = stream.next_updates(k)
-        kernels.chain_steps(g.indptr, g.indices, g.weights, g.h, s, vs, us)
+        kernels.chain_steps(indptr, indices, weights, h, s, vs, us)
         done += k
     return s
-
-
-def empirical_distribution(m: IsingModel, s0: np.ndarray, steps: int, thin: int,
-                           stream: UpdateStream) -> ExactDistribution:
-    """Occupation frequencies of the chain, thinned, as a distribution.
-
-    Counts the configuration bitmask every ``thin`` updates; n is capped
-    at EXACT_ENUM_CAP by the counts table.
-    """
-    if m.n > EXACT_ENUM_CAP:
-        raise SizeError(f"occupation counts capped at {EXACT_ENUM_CAP} vertices")
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
-    s = spins_array(s0).copy()
-    if not respects_clamps(m, s):
-        raise ValueError("initial configuration violates a clamp")
-    g = m.graph
-    counts = np.zeros(1 << m.n, dtype=np.int64)
-    done = 0
-    while done < steps:
-        k = min(_STEP_BLOCK, steps - done)
-        vs, us = stream.next_updates(k)
-        kernels.chain_steps_counted(
-            g.indptr, g.indices, g.weights, g.h, s, vs, us, thin, counts,
-        )
-        done += k
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("no samples recorded; steps < thin")
-    return ExactDistribution(m.n, counts / total, None)
 
 
 @dataclass(frozen=True)
@@ -163,7 +132,8 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream,
         raise ValueError("cap must be >= 1")
     upper = all_plus(m)
     lower = all_minus(m)
-    g = m.graph
+    indptr, indices, weights = m.graph.csr_lists
+    h = m.graph.h.tolist()
     ham = int(np.count_nonzero(upper != lower))
     if checkpoints is None:
         checkpoints = default_checkpoints(cap)
@@ -177,7 +147,7 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream,
         k = min(_STEP_BLOCK, horizon - done)
         vs, us = stream.next_updates(k)
         ham, coupled_at, violation = kernels.coupled_steps(
-            g.indptr, g.indices, g.weights, g.h, upper, lower, vs, us, ham,
+            indptr, indices, weights, h, upper, lower, vs, us, ham,
         )
         if violation >= 0:
             raise MonotonicityError(
@@ -194,7 +164,7 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream,
     if met_at >= 0:
         vs, us = stream.next_updates(_POST_COUPLING_AUDIT)
         ham2, _, violation = kernels.coupled_steps(
-            g.indptr, g.indices, g.weights, g.h, upper, lower, vs, us, 0,
+            indptr, indices, weights, h, upper, lower, vs, us, 0,
         )
         if violation >= 0 or ham2 != 0:
             raise MonotonicityError("met chains split during post-meeting audit")

@@ -1,100 +1,52 @@
-"""Hot inner loops, jitted when numba is importable.
+"""Hot inner loops in plain Python over list-form state.
 
-Each kernel is written once as a plain Python function over numpy arrays
-under a single ``_jit`` decorator: ``numba.njit(cache=True,
-fastmath=False)`` when numba can be imported, the identity otherwise.
-numba is optional (the ``jit`` extra); pure Python is the measured path.
-With numba, ``kernel.py_func`` is the uncompiled source, and
-``tests/test_kernels.py`` checks the two agree bit for bit, which is why
-``fastmath`` stays off.
+A Python loop reads list items and memoryview items as plain ints and
+floats, while indexing a numpy array boxes a numpy scalar on every read.
+So each kernel copies the state it rewrites into a list once per call,
+walks its read-only arrays through memoryviews, and writes the state
+back before it returns.  The CSR arrays and fields may be passed as
+lists (``WeightedGraph.csr_lists`` and ``h.tolist()``, the fast path) or
+as numpy arrays.  Float and int arithmetic on the same doubles gives the
+same bits either way, and every kernel keeps ``math.exp``/``tanh``/
+``atanh`` in a fixed order of operations, so results do not depend on
+the container.
 """
 
 from __future__ import annotations
 
 import math
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-    _jit = numba.njit(cache=True, fastmath=False)
-except ImportError:
-    HAVE_NUMBA = False
-
-    def _jit(fn):
-        return fn
+# perfbench/ records the backend of every run; pure Python is the only one
+HAVE_NUMBA = False
 
 
 def backend() -> str:
     """Name of the active kernel backend."""
-    return "numba" if HAVE_NUMBA else "python"
+    return "python"
 
 
-@_jit
 def chain_steps(indptr, indices, weights, h, spins, v_arr, u_arr):
     """Apply len(v_arr) single-site heat-bath updates to spins, in place.
 
     At update t the site v = v_arr[t] is redrawn from its conditional
     given the rest: + with probability logistic(2 * local field).
     """
-    for t in range(v_arr.shape[0]):
-        v = v_arr[t]
+    exp = math.exp
+    s = spins.tolist()
+    for v, u in zip(memoryview(v_arr), memoryview(u_arr)):
         f = h[v]
         for j in range(indptr[v], indptr[v + 1]):
-            f += weights[j] * spins[indices[j]]
+            f += weights[j] * s[indices[j]]
         if f >= 0.0:
-            p = 1.0 / (1.0 + math.exp(-2.0 * f))
+            p = 1.0 / (1.0 + exp(-2.0 * f))
         else:
-            e = math.exp(2.0 * f)
+            e = exp(2.0 * f)
             p = e / (1.0 + e)
-        if u_arr[t] <= p:
-            spins[v] = 1
-        else:
-            spins[v] = -1
+        s[v] = 1 if u <= p else -1
+    spins[:] = s
     return 0
 
 
-@_jit
-def chain_steps_counted(indptr, indices, weights, h, spins, v_arr, u_arr, thin, counts):
-    """Chain updates plus an occupation count of the visited configurations.
-
-    Every ``thin``-th update the bitmask index of the current configuration
-    (bit v set iff spins[v] == +1) increments ``counts``.  Only valid for
-    n <= 20; callers enforce the cap.
-    """
-    n = spins.shape[0]
-    idx = 0
-    for v in range(n):
-        if spins[v] > 0:
-            idx += 1 << v
-    since = 0
-    for t in range(v_arr.shape[0]):
-        v = v_arr[t]
-        f = h[v]
-        for j in range(indptr[v], indptr[v + 1]):
-            f += weights[j] * spins[indices[j]]
-        if f >= 0.0:
-            p = 1.0 / (1.0 + math.exp(-2.0 * f))
-        else:
-            e = math.exp(2.0 * f)
-            p = e / (1.0 + e)
-        old = spins[v]
-        if u_arr[t] <= p:
-            spins[v] = 1
-            if old < 0:
-                idx += 1 << v
-        else:
-            spins[v] = -1
-            if old > 0:
-                idx -= 1 << v
-        since += 1
-        if since == thin:
-            counts[idx] += 1
-            since = 0
-    return 0
-
-
-@_jit
 def coupled_steps(indptr, indices, weights, h, upper, lower, v_arr, u_arr, ham_start):
     """Advance two chains through the same (site, uniform) stream.
 
@@ -103,55 +55,52 @@ def coupled_steps(indptr, indices, weights, h, upper, lower, v_arr, u_arr, ham_s
     Returns (hamming distance at exit, in-block index of first agreement,
     in-block index of an order violation at the updated site); the last two
     are -1 when the event did not occur.  The walk stops early on an order
-    violation, never on agreement.
+    violation, never on agreement; upper and lower hold the state at exit
+    on both paths.
     """
+    exp = math.exp
+    up = upper.tolist()
+    lo = lower.tolist()
     ham = ham_start
     coupled_at = -1
-    for t in range(v_arr.shape[0]):
-        v = v_arr[t]
-        fu = h[v]
-        fl = h[v]
+    for t, (v, u) in enumerate(zip(memoryview(v_arr), memoryview(u_arr))):
+        fu = fl = h[v]
         for j in range(indptr[v], indptr[v + 1]):
             s = indices[j]
             w = weights[j]
-            fu += w * upper[s]
-            fl += w * lower[s]
+            fu += w * up[s]
+            fl += w * lo[s]
         if fu >= 0.0:
-            pu = 1.0 / (1.0 + math.exp(-2.0 * fu))
+            pu = 1.0 / (1.0 + exp(-2.0 * fu))
         else:
-            e = math.exp(2.0 * fu)
+            e = exp(2.0 * fu)
             pu = e / (1.0 + e)
         if fl >= 0.0:
-            pl = 1.0 / (1.0 + math.exp(-2.0 * fl))
+            pl = 1.0 / (1.0 + exp(-2.0 * fl))
         else:
-            e = math.exp(2.0 * fl)
+            e = exp(2.0 * fl)
             pl = e / (1.0 + e)
-        u = u_arr[t]
-        was_diff = upper[v] != lower[v]
-        if u <= pu:
-            nu = 1
-        else:
-            nu = -1
-        if u <= pl:
-            nl = 1
-        else:
-            nl = -1
-        upper[v] = nu
-        lower[v] = nl
+        was_diff = up[v] != lo[v]
+        nu = 1 if u <= pu else -1
+        nl = 1 if u <= pl else -1
+        up[v] = nu
+        lo[v] = nl
         if nu != nl:
             if not was_diff:
                 ham += 1
-        else:
-            if was_diff:
-                ham -= 1
+        elif was_diff:
+            ham -= 1
         if nu < nl:
+            upper[:] = up
+            lower[:] = lo
             return ham, coupled_at, t
         if ham == 0 and coupled_at < 0:
             coupled_at = t
+    upper[:] = up
+    lower[:] = lo
     return ham, coupled_at, -1
 
 
-@_jit
 def tree_root_field(parent, edge_beta, h_node, clamp_node):
     """Fold a rooted tree into the effective field at its root.
 
@@ -161,23 +110,30 @@ def tree_root_field(parent, edge_beta, h_node, clamp_node):
     folded into its field but is discarded here); a free node contributes
     atanh(tanh(edge_beta) * tanh(field)).  The product is clamped to
     [-1 + 1e-15, 1 - 1e-15] before atanh so pinned-boundary evaluations
-    cannot overflow.
+    cannot overflow.  The fold reads memoryviews and writes a float64
+    copy of ``h_node``, so no per-node Python list is built.
     """
-    nn = parent.shape[0]
-    field = h_node.copy()
-    for i in range(nn - 1, 0, -1):
-        b = edge_beta[i]
-        c = clamp_node[i]
+    tanh = math.tanh
+    atanh = math.atanh
+    hi = 1.0 - 1e-15
+    lo = -1.0 + 1e-15
+    par = memoryview(parent)
+    beta = memoryview(edge_beta)
+    clamp = memoryview(clamp_node)
+    field = memoryview(h_node.astype("float64"))
+    for i in range(par.shape[0] - 1, 0, -1):
+        b = beta[i]
+        c = clamp[i]
         if c > 0:
             contrib = b
         elif c < 0:
             contrib = -b
         else:
-            x = math.tanh(b) * math.tanh(field[i])
-            if x > 1.0 - 1e-15:
-                x = 1.0 - 1e-15
-            elif x < -1.0 + 1e-15:
-                x = -1.0 + 1e-15
-            contrib = math.atanh(x)
-        field[parent[i]] += contrib
+            x = tanh(b) * tanh(field[i])
+            if x > hi:
+                x = hi
+            elif x < lo:
+                x = lo
+            contrib = atanh(x)
+        field[par[i]] += contrib
     return field[0]

@@ -152,7 +152,7 @@ def _node_pins(st: SawTree, m: IsingModel, pins: np.ndarray,
         val = 1 if boundary == "plus" else -1
         b = st.boundary[clamp[st.boundary] == 0]
         clamp[b] = val
-    return m.graph.h[labels].copy(), clamp
+    return m.graph.h[labels], clamp
 
 
 def saw_marginal_from_pins(st: SawTree, m: IsingModel, pins: np.ndarray,
@@ -163,8 +163,7 @@ def saw_marginal_from_pins(st: SawTree, m: IsingModel, pins: np.ndarray,
     as :func:`merge_conditioning` returns it, and is used unchecked.
     """
     h_node, clamp = _node_pins(st, m, pins, boundary)
-    f = float(kernels.tree_root_field(st.tree.parent, st.edge_beta, h_node, clamp))
-    return plus_prob(f)
+    return plus_prob(kernels.tree_root_field(st.tree.parent, st.edge_beta, h_node, clamp))
 
 
 def saw_marginal_from_tree(st: SawTree, m: IsingModel,

@@ -47,9 +47,7 @@ def make_tree_model(tree: RootedTree, edge_beta, h=None, clamp=None) -> TreeMode
 
 def root_field(tm: TreeModel) -> float:
     """Effective field at the root (only meaningful when the root is free)."""
-    return float(kernels.tree_root_field(
-        tm.tree.parent, tm.edge_beta, tm.h, tm.clamp,
-    ))
+    return kernels.tree_root_field(tm.tree.parent, tm.edge_beta, tm.h, tm.clamp)
 
 
 def root_marginal(tm: TreeModel) -> float:

@@ -249,11 +249,31 @@ def test_exit_codes(tmp_path, capsys):
         ("gw-stats", GW_INI, "seeds = 60", "seeds = -5"),
         ("gw-stats", GW_INI, "radii = 3 4", "radii = -1 3"),
         ("gw-stats", GW_INI, "radii = 3 4", "radii ="),
+        ("coupling-scan", SCAN_INI, "n = 60 90", "n = 0 90"),
+        ("coupling-scan", SCAN_INI, "n = 60 90", "n = 60 -2"),
+        ("coupling-scan", SCAN_INI, "n = 60 90", "n ="),
+        ("coupling-scan", SCAN_INI, "kind = er\nn = 60 90", "kind = star\nleaves = 0"),
+        ("coupling-scan", SCAN_INI, "cap = 500000", "cap = 0"),
+        ("coupling-scan", SCAN_INI, "seeds = 3", "seeds = 0"),
+        ("coupling-scan", SCAN_INI, "seeds = 3", "seeds = -2"),
+        ("coupling-scan", SCAN_INI, "beta = 0.2", "beta = -1"),
+        ("coupling-scan", SCAN_INI, "beta = 0.2", "beta = nan"),
+        ("coupling-scan", SCAN_INI, "beta = 0.2", "beta ="),
+        ("coupling-scan", SCAN_INI, "d = 1.5", "d = -1"),
+        ("coupling-scan", SCAN_INI, "d = 1.5", "d = 70"),
+        ("decay-scan", DECAY_INI, "vertices = 4", "vertices = 4\nmax_nodes = 0"),
+        ("decay-scan", DECAY_INI, "vertices = 4", "vertices = 4\nmax_nodes = -1"),
     ]:
         cfg = write(tmp_path, "bad.ini", ini.replace(old, new))
         assert run([command, "-c", cfg, "-o", "/dev/null"]) == 2, new
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, new
+    # every field is past the clamping threshold, so no vertex is left free
+    all_clamped = SAMPLE_INI.replace("n = 7\nbeta = 0.4", "n = 4\nbeta = 0.4\nh = 100")
+    cfg = write(tmp_path, "clamped.ini", all_clamped.replace("draws = 2", "draws = 2\nclamp = true"))
+    assert run(["sample", "-c", cfg, "-o", "/dev/null"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_worker_count_capped_at_cpu_count(monkeypatch):

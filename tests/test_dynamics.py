@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -8,15 +11,21 @@ from isinglab.dynamics import (
     build_block_transition_matrix,
     build_transition_matrix,
     default_checkpoints,
-    empirical_distribution,
     exact_mixing_time,
     monotone_coupled_run,
     run_chain,
     spectral_analysis,
 )
 from isinglab.errors import SizeError
-from isinglab.graph import graph_from_edges, path_graph, star_graph
-from isinglab.model import all_plus, exact_distribution, make_model, tv_distance
+from isinglab.graph import generate_erdos_renyi, graph_from_edges, path_graph, star_graph
+from isinglab.model import (
+    ExactDistribution,
+    all_minus,
+    all_plus,
+    exact_distribution,
+    make_model,
+    tv_distance,
+)
 from isinglab.rng import substream
 from isinglab.verify import random_connected_model
 
@@ -46,6 +55,55 @@ def test_update_stream_sites_are_free_vertices():
     stream = UpdateStream(m, 1)
     v, _ = stream.next_updates(500)
     assert set(np.unique(v)) <= {1, 2, 3, 4}
+
+
+def chain_steps_counted(indptr, indices, weights, h, spins, v_arr, u_arr, thin, counts):
+    """``kernels.chain_steps`` plus an occupation count, over list-form state.
+
+    Every ``thin``-th update the bitmask index of the current configuration
+    (bit v set iff spins[v] == +1) increments the list ``counts``.
+    """
+    s = spins.tolist()
+    idx = sum(1 << v for v, x in enumerate(s) if x > 0)
+    since = 0
+    for v, u in zip(memoryview(v_arr), memoryview(u_arr)):
+        f = h[v]
+        for j in range(indptr[v], indptr[v + 1]):
+            f += weights[j] * s[indices[j]]
+        if f >= 0.0:
+            p = 1.0 / (1.0 + math.exp(-2.0 * f))
+        else:
+            e = math.exp(2.0 * f)
+            p = e / (1.0 + e)
+        new = 1 if u <= p else -1
+        if new != s[v]:
+            s[v] = new
+            idx += new << v
+        since += 1
+        if since == thin:
+            counts[idx] += 1
+            since = 0
+    spins[:] = s
+
+
+def empirical_distribution(m, s0, steps, thin, stream):
+    """Occupation frequencies of the chain, thinned, as a distribution.
+
+    Updates come in blocks of 2^16; the thinning phase restarts with each
+    block.
+    """
+    indptr, indices, weights = m.graph.csr_lists
+    h = m.graph.h.tolist()
+    s = np.array(s0, dtype=np.int8)
+    counts = [0] * (1 << m.n)
+    done = 0
+    while done < steps:
+        k = min(1 << 16, steps - done)
+        vs, us = stream.next_updates(k)
+        chain_steps_counted(indptr, indices, weights, h, s, vs, us, thin, counts)
+        done += k
+    freq = np.array(counts, dtype=np.float64)
+    return ExactDistribution(m.n, freq / freq.sum(), None)
 
 
 def test_run_chain_reaches_stationarity():
@@ -138,6 +196,33 @@ def test_run_chain_deterministic():
     s = run_chain(m, all_plus(m), 1000, UpdateStream(m, 44, chain_id=0))
     t = run_chain(m, all_plus(m), 1000, UpdateStream(m, 44, chain_id=0))
     assert np.array_equal(s, t)
+
+
+# sha256 of the dynamics bytes below, recorded with the numpy-indexing
+# kernels that tests/test_properties.py keeps as reference loops
+DYNAMICS_DIGEST = "ce8e65987792dbd8347976a686fb98b14051243fffe6939e548a2080d643335e"
+
+
+def test_dynamics_bytes_pinned():
+    h = hashlib.sha256()
+    m = make_model(generate_erdos_renyi(2000, 2.0, 17, beta=0.3))
+    s = run_chain(m, all_minus(m), 200_000, UpdateStream(m, 23))
+    h.update(s.tobytes())
+    er = generate_erdos_renyi(300, 2.0, 29, beta=0.35)
+    clamp = np.zeros(er.n, dtype=np.int8)
+    clamp[::7] = 1
+    clamp[3::11] = -1
+    fields = substream(31, "pin-fields").uniform(-0.5, 0.5, size=40)
+    models = [
+        make_model(er),
+        make_model(er.with_vertex_data(clamp=clamp)),
+        make_model(star_graph(12, 1.6)),  # hits the cap
+        make_model(path_graph(40, 0.7).with_vertex_data(h=fields)),
+    ]
+    for k, mm in enumerate(models):
+        res = monotone_coupled_run(mm, 100_000, UpdateStream(mm, 37, chain_id=k))
+        h.update(repr((res.coupled, res.steps, res.checkpoints)).encode())
+    assert h.hexdigest() == DYNAMICS_DIGEST
 
 
 def test_default_checkpoints_geometric():

@@ -9,14 +9,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import math  # noqa: E402
+
 import numpy as np  # noqa: E402
 
+from isinglab import kernels  # noqa: E402
 from isinglab.dynamics import UpdateStream  # noqa: E402
 from isinglab.errors import BudgetError  # noqa: E402
 from isinglab.graph import ball, ball_excesses, graph_from_edges, tree_excess  # noqa: E402
 from isinglab.model import make_model  # noqa: E402
 from isinglab.sampler import algorithm1_output_law, algorithm1_samples  # noqa: E402
 from isinglab.sawtree import build_saw_tree, saw_marginal, saw_tree_size  # noqa: E402
+from test_dynamics import chain_steps_counted  # noqa: E402
 
 NODE_BUDGET = 5000
 
@@ -115,3 +119,226 @@ def test_reused_trees_match_rebuilt_trees(m, data):
         assert run.spins.tolist() == spins.tolist()
     law = algorithm1_output_law(m, depth)
     assert law.probs.tobytes() == _reference_law(m, depth).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# list-form kernels against numpy-indexing reference loops
+
+
+def _ref_chain_steps(indptr, indices, weights, h, spins, v_arr, u_arr):
+    for t in range(v_arr.shape[0]):
+        v = v_arr[t]
+        f = h[v]
+        for j in range(indptr[v], indptr[v + 1]):
+            f += weights[j] * spins[indices[j]]
+        if f >= 0.0:
+            p = 1.0 / (1.0 + math.exp(-2.0 * f))
+        else:
+            e = math.exp(2.0 * f)
+            p = e / (1.0 + e)
+        if u_arr[t] <= p:
+            spins[v] = 1
+        else:
+            spins[v] = -1
+
+
+def _ref_chain_steps_counted(indptr, indices, weights, h, spins, v_arr, u_arr, thin, counts):
+    n = spins.shape[0]
+    idx = 0
+    for v in range(n):
+        if spins[v] > 0:
+            idx += 1 << v
+    since = 0
+    for t in range(v_arr.shape[0]):
+        v = v_arr[t]
+        f = h[v]
+        for j in range(indptr[v], indptr[v + 1]):
+            f += weights[j] * spins[indices[j]]
+        if f >= 0.0:
+            p = 1.0 / (1.0 + math.exp(-2.0 * f))
+        else:
+            e = math.exp(2.0 * f)
+            p = e / (1.0 + e)
+        old = spins[v]
+        if u_arr[t] <= p:
+            spins[v] = 1
+            if old < 0:
+                idx += 1 << v
+        else:
+            spins[v] = -1
+            if old > 0:
+                idx -= 1 << v
+        since += 1
+        if since == thin:
+            counts[idx] += 1
+            since = 0
+
+
+def _ref_coupled_steps(indptr, indices, weights, h, upper, lower, v_arr, u_arr, ham_start):
+    ham = ham_start
+    coupled_at = -1
+    for t in range(v_arr.shape[0]):
+        v = v_arr[t]
+        fu = h[v]
+        fl = h[v]
+        for j in range(indptr[v], indptr[v + 1]):
+            s = indices[j]
+            w = weights[j]
+            fu += w * upper[s]
+            fl += w * lower[s]
+        if fu >= 0.0:
+            pu = 1.0 / (1.0 + math.exp(-2.0 * fu))
+        else:
+            e = math.exp(2.0 * fu)
+            pu = e / (1.0 + e)
+        if fl >= 0.0:
+            pl = 1.0 / (1.0 + math.exp(-2.0 * fl))
+        else:
+            e = math.exp(2.0 * fl)
+            pl = e / (1.0 + e)
+        u = u_arr[t]
+        was_diff = upper[v] != lower[v]
+        if u <= pu:
+            nu = 1
+        else:
+            nu = -1
+        if u <= pl:
+            nl = 1
+        else:
+            nl = -1
+        upper[v] = nu
+        lower[v] = nl
+        if nu != nl:
+            if not was_diff:
+                ham += 1
+        else:
+            if was_diff:
+                ham -= 1
+        if nu < nl:
+            return ham, coupled_at, t
+        if ham == 0 and coupled_at < 0:
+            coupled_at = t
+    return ham, coupled_at, -1
+
+
+def _ref_tree_root_field(parent, edge_beta, h_node, clamp_node):
+    nn = parent.shape[0]
+    field = h_node.copy()
+    for i in range(nn - 1, 0, -1):
+        b = edge_beta[i]
+        c = clamp_node[i]
+        if c > 0:
+            contrib = b
+        elif c < 0:
+            contrib = -b
+        else:
+            x = math.tanh(b) * math.tanh(field[i])
+            if x > 1.0 - 1e-15:
+                x = 1.0 - 1e-15
+            elif x < -1.0 + 1e-15:
+                x = -1.0 + 1e-15
+            contrib = math.atanh(x)
+        field[parent[i]] += contrib
+    return field[0]
+
+
+fields = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-800.0, 800.0]))
+unit = st.floats(0.0, 1.0, exclude_max=True)
+spin = st.sampled_from([-1, 1])
+
+
+@st.composite
+def signed_csr(draw):
+    """CSR arrays of a graph on <= 8 vertices whose couplings may be negative.
+
+    Negative couplings break the monotone order, so the coupled kernel
+    takes its early violation return on some draws.
+    """
+    n = draw(st.integers(1, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple)
+    coupling = st.dictionaries(pair.filter(lambda p: p[0] != p[1]), st.floats(-1.5, 1.5),
+                               max_size=12)
+    edges = draw(coupling) if n > 1 else {}
+    h = draw(st.lists(fields, min_size=n, max_size=n))
+    g = graph_from_edges(n, [(u, v, abs(w)) for (u, v), w in edges.items()], h=h)
+    sign = [math.copysign(1.0, edges[min(a, b), max(a, b)])
+            for a, b in zip(g.rows().tolist(), g.indices.tolist())]
+    return g.indptr, g.indices, g.weights * np.array(sign), g.h
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(signed_csr(), st.data())
+def test_list_kernels_match_numpy_reference(csr, data):
+    indptr, indices, weights, h = csr
+    n = h.shape[0]
+    # a site is a uniform scaled to n, as UpdateStream draws it
+    pairs = data.draw(st.lists(st.tuples(unit, unit), max_size=40))
+    v_arr = np.array([int(x * n) for x, _ in pairs], dtype=np.int64)
+    u_arr = np.array([u for _, u in pairs], dtype=np.float64)
+    spin_pairs = data.draw(st.lists(st.tuples(spin, spin), min_size=n, max_size=n))
+    a = np.array([x for x, _ in spin_pairs], dtype=np.int8)
+    b = np.array([y for _, y in spin_pairs], dtype=np.int8)
+    lists = (indptr.tolist(), indices.tolist(), weights.tolist(), h.tolist())
+
+    got, want = a.copy(), a.copy()
+    kernels.chain_steps(*lists, got, v_arr, u_arr)
+    _ref_chain_steps(indptr, indices, weights, h, want, v_arr, u_arr)
+    assert got.tolist() == want.tolist()
+
+    thin = data.draw(st.integers(1, 4))
+    got, want = a.copy(), a.copy()
+    got_counts, want_counts = [0] * (1 << n), np.zeros(1 << n, dtype=np.int64)
+    chain_steps_counted(*lists, got, v_arr, u_arr, thin, got_counts)
+    _ref_chain_steps_counted(indptr, indices, weights, h, want, v_arr, u_arr, thin, want_counts)
+    assert got.tolist() == want.tolist()
+    assert got_counts == want_counts.tolist()
+
+    upper, lower = np.maximum(a, b), np.minimum(a, b)
+    ham = int(np.count_nonzero(upper != lower))
+    got_up, got_lo, want_up, want_lo = upper.copy(), lower.copy(), upper.copy(), lower.copy()
+    got = kernels.coupled_steps(*lists, got_up, got_lo, v_arr, u_arr, ham)
+    want = _ref_coupled_steps(indptr, indices, weights, h, want_up, want_lo, v_arr, u_arr, ham)
+    assert got == want
+    assert got_up.tolist() == want_up.tolist()
+    assert got_lo.tolist() == want_lo.tolist()
+
+
+def test_coupled_kernel_writes_back_on_violation():
+    # an antiferromagnetic pair: updating site 0 with u between the two
+    # chains' probabilities sends upper to -1 and lower to +1, and the
+    # update after it is never applied
+    indptr = np.array([0, 1, 2], dtype=np.int64)
+    indices = np.array([1, 0], dtype=np.int64)
+    weights = np.array([-1.0, -1.0])
+    h = np.zeros(2)
+    v_arr = np.array([0, 1], dtype=np.int64)
+    u_arr = np.array([0.5, 0.5])
+    got_up, got_lo = np.ones(2, dtype=np.int8), -np.ones(2, dtype=np.int8)
+    want_up, want_lo = got_up.copy(), got_lo.copy()
+    got = kernels.coupled_steps(indptr.tolist(), indices.tolist(), weights.tolist(), h.tolist(),
+                                got_up, got_lo, v_arr, u_arr, 2)
+    want = _ref_coupled_steps(indptr, indices, weights, h, want_up, want_lo, v_arr, u_arr, 2)
+    assert got == want == (2, -1, 0)
+    assert got_up.tolist() == want_up.tolist() == [-1, 1]
+    assert got_lo.tolist() == want_lo.tolist() == [1, -1]
+
+
+# tanh(40) rounds to 1, so strong edges into +-800 fields reach the atanh clamp
+tree_nodes = st.tuples(unit, st.one_of(st.floats(0.0, 3.0), st.just(40.0)), fields,
+                       st.sampled_from([-1, 0, 0, 1]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(tree_nodes, min_size=1, max_size=30))
+def test_tree_fold_matches_numpy_reference(nodes):
+    # node i hangs below a uniformly placed earlier node, so parent[i] < i
+    where, beta, h, pin = zip(*nodes)
+    parent = np.array([-1] + [int(x * i) for i, x in enumerate(where) if i], dtype=np.int64)
+    edge_beta = np.array(beta)
+    h_node = np.array(h)
+    clamp = np.array(pin, dtype=np.int8)
+    before = h_node.copy()
+    got = kernels.tree_root_field(parent, edge_beta, h_node, clamp)
+    want = _ref_tree_root_field(parent, edge_beta, h_node, clamp)
+    assert float(got).hex() == float(want).hex()
+    assert h_node.tobytes() == before.tobytes()
