@@ -246,10 +246,10 @@ def cmd_verify(args) -> int:
                             f"[verify] {key} must be numeric, got {value!r}"
                         )
     try:
-        reports = verify.run_suite(args.suite, overrides)
-    except KeyError as e:
-        print(e.args[0], file=sys.stderr)
-        return 2
+        verify.check_overrides(args.suite, overrides)
+    except (KeyError, ValueError) as e:
+        raise ConfigError(e.args[0]) from e
+    reports = verify.run_suite(args.suite, overrides)
     failed = False
     lines = []
     for report in reports:

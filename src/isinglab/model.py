@@ -178,7 +178,8 @@ def exact_distribution(m: IsingModel) -> ExactDistribution:
     """Brute-force Boltzmann distribution with max-shifted normalization."""
     logw, ok = _log_weights_table(m)
     shift = logw[ok].max()
-    mass = np.where(ok, np.exp(logw - shift), 0.0)
+    # states outside the event get exp(-inf) = 0, so none overflows
+    mass = np.exp(np.where(ok, logw - shift, -np.inf))
     z = mass.sum()
     return ExactDistribution(m.n, mass / z, float(shift + np.log(z)))
 
@@ -212,7 +213,8 @@ def exact_conditional_marginal(m: IsingModel, v: int, cond: dict[int, int] | Non
     if not ok.any():
         raise ConditioningError("conditioning event has probability zero")
     shift = logw[ok].max()
-    mass = np.where(ok, np.exp(logw - shift), 0.0)
+    # states outside the event get exp(-inf) = 0, so none overflows
+    mass = np.exp(np.where(ok, logw - shift, -np.inf))
     num = mass[((idx >> v) & 1) == 1].sum()
     return float(num / mass.sum())
 

@@ -13,8 +13,9 @@ polynomial accuracy grows like a constant times log n; see
 :func:`sufficient_radius_factor`.
 
 A walk tree depends only on the graph, its root and L, so each free
-vertex's tree is built once and re-folded under every draw's or prefix's
-conditioning, carried as a pins vector updated in place.
+vertex's tree is built once, all of them in one forest build over the
+free vertices, and re-folded under every draw's or prefix's conditioning,
+carried as a pins vector updated in place.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .dynamics import UpdateStream
 from .errors import SizeError
 from .model import ExactDistribution, IsingModel
-from .sawtree import DEFAULT_NODE_BUDGET, build_saw_tree, saw_marginal_from_pins
+from .sawtree import DEFAULT_NODE_BUDGET, build_saw_trees, saw_marginal_from_pins
 
 OUTPUT_LAW_VERTEX_CAP = 14
 
@@ -63,8 +64,8 @@ def algorithm1_samples(m: IsingModel, depth_limit: int, streams: list[UpdateStre
     spins = [m.graph.clamp.copy() for _ in streams]
     ps = np.empty((len(streams), free.size))
     sizes = np.empty(free.size, dtype=np.int64)
-    for i, v in enumerate(free):
-        st = build_saw_tree(m.graph, int(v), depth_limit, max_nodes=max_nodes)
+    trees = build_saw_trees(m.graph, free, depth_limit, max_nodes)
+    for i, (v, st) in enumerate(zip(free, trees)):
         sizes[i] = st.size
         for k, pins in enumerate(spins):
             p = saw_marginal_from_pins(st, m, pins)
@@ -92,7 +93,7 @@ def algorithm1_output_law(m: IsingModel, depth_limit: int,
     k = free.size
     if m.n > OUTPUT_LAW_VERTEX_CAP:
         raise SizeError(f"output-law enumeration capped at {OUTPUT_LAW_VERTEX_CAP} vertices")
-    trees = [build_saw_tree(m.graph, int(v), depth_limit, max_nodes=max_nodes) for v in free]
+    trees = list(build_saw_trees(m.graph, free, depth_limit, max_nodes))
     probs = np.zeros(1 << m.n)
     base = 0
     for v in range(m.n):
@@ -121,8 +122,7 @@ def truncation_tv_bound(m: IsingModel, depth_limit: int,
     """Chained truncation bound: sum of boundary sizes times tanh(beta)^L."""
     decay = math.tanh(m.beta_max) ** depth_limit
     total = 0.0
-    for v in m.graph.free_vertices():
-        st = build_saw_tree(m.graph, int(v), depth_limit, max_nodes=max_nodes)
+    for st in build_saw_trees(m.graph, m.graph.free_vertices(), depth_limit, max_nodes):
         total += st.boundary.size * decay
     return total
 

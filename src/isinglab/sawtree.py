@@ -14,10 +14,21 @@ Pin rule at a cycle closure: when the walk w_0..w_m steps back onto an
 earlier vertex w_j, the new leaf is pinned + exactly when the closing
 edge ranks above the edge the walk originally left w_j by, comparing the
 two neighbor endpoints w_m and w_{j+1} as integers.
+
+Trees are built level by level in numpy, many roots per level pass: each
+level's children come from the CSR rows of the walks that continue, a
+closure is found by chasing each child's ancestors, and the nodes are
+then numbered in the depth-first preorder a recursive walk would give
+(children in ascending neighbor order).  Per-root node counts are known
+before a level is built, so a node budget is enforced without building
+the level that would pass it.  Roots share passes in chunks of at most
+CHUNK_NODES nodes, so memory follows the chunk, or the budget for a tree
+larger than a chunk.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +39,11 @@ from .graph import RootedTree, WeightedGraph, make_rooted_tree
 from .model import IsingModel, merge_conditioning, plus_prob
 
 DEFAULT_NODE_BUDGET = 10**7
+
+# Roots share level passes in chunks of at most this many nodes, which
+# bounds the memory of a many-root build; a root whose tree alone is
+# larger is built on its own, bounded by max_nodes only.
+CHUNK_NODES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -51,86 +67,182 @@ class SawTree:
         return self.tree.size
 
 
+def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
+                    max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[SawTree]:
+    """Walk trees of several roots, yielded in root order.
+
+    Trees are grown level by level, many roots per level pass, and laid
+    out in depth-first preorder with children in ascending neighbor order,
+    so parent indices precede children and each tree is the one a
+    depth-first walk from its root would build.  Raises BudgetError when
+    some root's tree has more than ``max_nodes`` nodes, after yielding the
+    trees of earlier chunks; the level that would overflow is never built.
+    """
+    roots = _check_roots(g, roots, depth_limit)
+    for levels, counts in _forests(g, roots, depth_limit, max_nodes, count_only=False):
+        yield from _preorder_trees(levels, counts, depth_limit)
+
+
+def saw_tree_sizes(g: WeightedGraph, roots, depth_limit: int,
+                   max_nodes: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
+    """Node count of each root's walk tree (int64), assembling no tree."""
+    roots = _check_roots(g, roots, depth_limit)
+    counts = [c for _, c in _forests(g, roots, depth_limit, max_nodes, count_only=True)]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *counts])
+
+
 def build_saw_tree(g: WeightedGraph, v: int, depth_limit: int,
                    max_nodes: int = DEFAULT_NODE_BUDGET) -> SawTree:
-    """Depth-first construction of the walk tree from v.
+    """Walk tree from v, built level by level as a forest of one root.
 
-    Children are emitted in ascending neighbor order and nodes are indexed
-    in discovery order, so parent indices precede children and the layout
-    is deterministic.  Raises BudgetError past ``max_nodes`` nodes.
+    Nodes are in the depth-first preorder a recursive walk from v gives,
+    children in ascending neighbor order, so parent indices precede
+    children.  Raises BudgetError past ``max_nodes`` nodes.
     """
-    nn = _expand(g, v, depth_limit, max_nodes, collect=True)
-    parent, depth, label, ebeta, fixed = nn
-    tree = make_rooted_tree(parent, depth, label)
-    boundary = np.flatnonzero((tree.depth == depth_limit) & (fixed == 0))
-    return SawTree(tree, ebeta, fixed, depth_limit, boundary.astype(np.int64))
+    return next(build_saw_trees(g, [v], depth_limit, max_nodes))
 
 
 def saw_tree_size(g: WeightedGraph, v: int, depth_limit: int,
                   max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
-    """Node count of the walk tree without materializing it."""
-    return _expand(g, v, depth_limit, max_nodes, collect=False)
+    """Node count of the walk tree from v without materializing it."""
+    return int(saw_tree_sizes(g, [v], depth_limit, max_nodes)[0])
 
 
-def _expand(g: WeightedGraph, v: int, depth_limit: int, max_nodes: int, collect: bool):
-    if not 0 <= v < g.n:
-        raise ValueError(f"root vertex {v} out of range")
+def _check_roots(g: WeightedGraph, roots, depth_limit: int) -> np.ndarray:
+    roots = np.asarray(roots, dtype=np.int64)
+    outside = roots[(roots < 0) | (roots >= g.n)]
+    if outside.size:
+        raise ValueError(f"root vertex {int(outside[0])} out of range")
     if depth_limit < 0:
         raise ValueError("depth limit must be >= 0")
-    v = int(v)
-    indptr, indices, weights = g.csr_lists
-    on_walk = {v: 0}  # vertex -> its depth on the current walk
-    walk = [v] + [-1] * depth_limit  # walk[j] = vertex at depth j
+    return roots
 
-    parent = [-1]
-    depth = [0]
-    label = [v]
-    ebeta = [0.0]
-    fixed = [0]
-    count = 1
 
-    # stack entries: [tree node, vertex, next CSR pointer, walk depth]
-    stack = [[0, v, indptr[v], 0]] if depth_limit > 0 else []
-    while stack:
-        top = stack[-1]
-        node, u, ptr, dep = top
-        end = indptr[u + 1]
-        back = walk[dep - 1] if dep > 0 else -1
-        while ptr < end:
-            x = indices[ptr]
-            ptr += 1
-            if x != back:  # an immediate backtrack is not a walk extension
-                break
-        else:
-            del on_walk[u]
-            stack.pop()
-            continue
-        top[2] = ptr
+def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int,
+             count_only: bool):
+    """(levels, counts) of successive root chunks, covering ``roots`` in order.
 
-        count += 1
-        if count > max_nodes:
+    The first chunk starts with up to CHUNK_NODES roots, each later one with
+    as many as the previous chunk's mean tree size says will fit.
+    """
+    done = 0
+    take = CHUNK_NODES
+    while done < roots.size:
+        levels, counts = _grow_forest(g, roots[done:done + take], depth_limit,
+                                      max_nodes, count_only)
+        done += counts.size
+        take = max(1, CHUNK_NODES * counts.size // int(counts.sum()))
+        yield levels, counts
+
+
+def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int,
+                 count_only: bool):
+    """Grow the walk trees of ``roots``, or of the prefix that fits CHUNK_NODES.
+
+    Returns ``(levels, counts)``.  ``levels[k]`` is a tuple (parent, vertex,
+    root, beta, pin) of arrays over the depth-k nodes of every tree:
+    parent indexes ``levels[k - 1]``, root indexes the kept roots, beta is
+    the coupling to the parent and pin the cycle-closure pin.  A level is
+    grouped by parent in parent order, with each parent's children in
+    ascending neighbor order, so it is also grouped by root in root order.
+    ``counts[r]`` is root r's node count.  Roots are dropped from the end
+    while the forest would pass CHUNK_NODES nodes and more than one root
+    is left.  With ``count_only`` the deepest level is counted, not built.
+    """
+    indptr, indices, weights = g.indptr, g.indices, g.weights
+    nroots = roots.size
+    counts = np.ones(nroots, dtype=np.int64)
+    levels = [(np.full(nroots, -1, dtype=np.int64), roots, np.arange(nroots),
+               np.zeros(nroots), np.zeros(nroots, dtype=np.int8))]
+    for k in range(depth_limit):
+        _, vertex, root, _, pin = levels[k]
+        node = np.flatnonzero(pin == 0)  # walks that continue
+        at = vertex[node]
+        start = indptr[at]
+        deg = indptr[at + 1] - start
+        # each continues to every neighbor but the previous vertex, as the
+        # graph is simple
+        grown = counts + np.bincount(root[node], weights=deg - (k > 0),
+                                     minlength=nroots).astype(np.int64)
+        if ((grown > max_nodes) & (grown > counts)).any():
             raise BudgetError(f"walk tree exceeded {max_nodes} nodes")
-        j = on_walk.get(x)
-        if j is not None:
-            # closes a cycle at the earlier visit of x
-            pin = 1 if u > walk[j + 1] else -1
-        else:
-            pin = 0
-            if dep + 1 < depth_limit:
-                on_walk[x] = dep + 1
-                walk[dep + 1] = x
-                stack.append([count - 1, x, indptr[x], dep + 1])
-        if collect:
-            parent.append(node)
-            depth.append(dep + 1)
-            label.append(x)
-            ebeta.append(weights[ptr - 1])
-            fixed.append(pin)
-    if collect:
-        return (np.array(parent, dtype=np.int64), np.array(depth, dtype=np.int64),
-                np.array(label, dtype=np.int64), np.array(ebeta, dtype=np.float64),
-                np.array(fixed, dtype=np.int8))
-    return count
+        if nroots > 1:
+            fits = np.cumsum(grown) <= CHUNK_NODES
+            if not fits[-1]:
+                nroots = max(1, int(np.count_nonzero(fits)))
+                levels = [tuple(a[:np.searchsorted(lv[2], nroots)] for a in lv)
+                          for lv in levels]
+                grown = grown[:nroots]
+                keep = root[node] < nroots
+                node, start, deg = node[keep], start[keep], deg[keep]
+        counts = grown
+        if count_only and k + 1 == depth_limit:
+            break
+        parent = np.repeat(node, deg)
+        ends = np.cumsum(deg)
+        edge = np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + deg, deg)
+        vert = indices[edge]
+        if k > 0:
+            anc = levels[k][0][parent]  # at depth k - 1
+            after = levels[k - 1][1][anc]
+            fwd = after != vert
+            parent, edge, vert, anc, after = (a[fwd] for a in (parent, edge, vert, anc, after))
+        if vert.size == 0:
+            break
+        new_pin = np.zeros(vert.size, dtype=np.int8)
+        if k > 1:
+            # A child closes a cycle when its vertex is on the walk already,
+            # at some depth j <= k - 2.  Chase ancestors one level up at a
+            # time, keeping the walk's vertex at depth j + 1, which the pin
+            # compares with the walk's vertex at depth k.
+            closed_after = np.full(vert.size, -1)
+            for j in range(k - 2, -1, -1):
+                anc = levels[j + 1][0][anc]
+                on_walk = levels[j][1][anc]
+                closed_after = np.where(on_walk == vert, after, closed_after)
+                after = on_walk
+            closed = closed_after >= 0
+            new_pin[closed] = np.where(vertex[parent[closed]] > closed_after[closed], 1, -1)
+        levels.append((parent, vert, levels[k][2][parent], weights[edge], new_pin))
+    return levels, counts
+
+
+def _preorder_trees(levels, counts: np.ndarray, depth_limit: int) -> Iterator[SawTree]:
+    """Number the forest's nodes in depth-first preorder and yield each tree.
+
+    Subtree sizes are summed bottom-up; a node's preorder index is its
+    parent's plus one plus the subtree sizes of its earlier siblings.
+    """
+    sizes = [np.ones(lv[0].size, dtype=np.int64) for lv in levels]
+    for k in range(len(levels) - 1, 0, -1):
+        sizes[k - 1] += np.bincount(levels[k][0], weights=sizes[k],
+                                    minlength=sizes[k - 1].size).astype(np.int64)
+    offset = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    parent = np.full(total, -1, dtype=np.int64)
+    depth = np.zeros(total, dtype=np.int64)
+    label = np.empty(total, dtype=np.int64)
+    beta = np.zeros(total)
+    pin = np.zeros(total, dtype=np.int8)
+    label[offset] = levels[0][1]
+    pos = offset  # buffer index of each node of the previous level
+    for k in range(1, len(levels)):
+        par, vert, root, b, p = levels[k]
+        before = np.cumsum(sizes[k]) - sizes[k]
+        first = np.searchsorted(par, par)  # first sibling of each node
+        here = pos[par] + 1 + before - before[first]
+        parent[here] = pos[par] - offset[root]
+        depth[here] = k
+        label[here] = vert
+        beta[here] = b
+        pin[here] = p
+        pos = here
+    for lo, n in zip(offset.tolist(), counts.tolist()):
+        tree = make_rooted_tree(parent[lo:lo + n], depth[lo:lo + n], label[lo:lo + n])
+        fixed = pin[lo:lo + n].copy()
+        boundary = np.flatnonzero((tree.depth == depth_limit) & (fixed == 0))
+        yield SawTree(tree, beta[lo:lo + n].copy(), fixed, depth_limit,
+                      boundary.astype(np.int64))
 
 
 def _node_pins(st: SawTree, m: IsingModel, pins: np.ndarray,
@@ -163,6 +275,8 @@ def saw_marginal_from_pins(st: SawTree, m: IsingModel, pins: np.ndarray,
     as :func:`merge_conditioning` returns it, and is used unchecked.
     """
     h_node, clamp = _node_pins(st, m, pins, boundary)
+    if clamp[0] != 0:  # at depth limit 0 the root is the truncation surface
+        return 1.0 if clamp[0] > 0 else 0.0
     return plus_prob(kernels.tree_root_field(st.tree.parent, st.edge_beta, h_node, clamp))
 
 

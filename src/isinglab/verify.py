@@ -58,9 +58,9 @@ from .model import (
     tv_distance,
 )
 from .sampler import algorithm1_output_law, truncation_tv_bound
-from .sawtree import saw_marginal, saw_tree_size
+from .sawtree import build_saw_trees, saw_marginal_from_tree, saw_tree_sizes
 from .treecalc import boundary_influence, make_tree_model
-from .rng import substream
+from .rng import POISSON_MEAN_CAP, substream
 
 DEFAULT_MASTER_SEED = 20260822
 
@@ -153,7 +153,8 @@ def weitz_identity_suite(models: int = 200, max_n: int = 8, tol: float = 1e-9,
     Random connected loopy models; every vertex is queried under the empty
     conditioning and under random conditionings of sizes 1..3.  The tree
     radius is n + 1, past the depth where walks must end, so agreement
-    should be exact to rounding.
+    should be exact to rounding.  Each vertex's tree is built once and
+    folded under every conditioning.
     """
     report = SuiteReport("weitz-identity")
     rng = substream(master_seed, "verify-weitz")
@@ -161,7 +162,7 @@ def weitz_identity_suite(models: int = 200, max_n: int = 8, tol: float = 1e-9,
         m = random_connected_model(rng, max_n=max_n)
         n = m.n
         worst = 0.0
-        for v in range(n):
+        for v, st in enumerate(build_saw_trees(m.graph, range(n), n + 1)):
             others = [x for x in range(n) if x != v]
             conds: list[dict[int, int] | None] = [None]
             for size in (1, 2, 3):
@@ -171,7 +172,7 @@ def weitz_identity_suite(models: int = 200, max_n: int = 8, tol: float = 1e-9,
                         int(x): (1 if rng.random() < 0.5 else -1) for x in picked
                     })
             for cond in conds:
-                got = saw_marginal(m, v, n + 1, cond=cond)
+                got = saw_marginal_from_tree(st, m, cond=cond)
                 want = exact_conditional_marginal(m, v, cond=cond)
                 worst = max(worst, abs(got - want))
         report.rows.append(CheckRow(f"model-{k}(n={n})", worst, tol, worst <= tol))
@@ -672,13 +673,12 @@ def structure_suite(n: int = 5000, graphs: int = 10, d: float = 2.0,
             f"graph-{gi}-excess(r={radius})", float(worst), float(excess_bound),
             worst <= excess_bound,
         ))
-        base = max(saw_tree_size(g, v, 2) for v in range(n))
+        base = int(saw_tree_sizes(g, np.arange(n), 2).max())
         worst_ratio = 0.0
         picks = rng.choice(n, size=sample_vertices, replace=False)
-        for v in picks:
-            for j in (2, 3):
-                size_j = saw_tree_size(g, int(v), 2 * j)
-                worst_ratio = max(worst_ratio, size_j / base**j)
+        for j in (2, 3):
+            size_j = int(saw_tree_sizes(g, picks, 2 * j).max(initial=0))
+            worst_ratio = max(worst_ratio, size_j / base**j)
         report.rows.append(CheckRow(
             f"graph-{gi}-submultiplicative", worst_ratio, 1.0,
             worst_ratio <= 1.0, note=f"base={base}",
@@ -720,17 +720,79 @@ SUITES: dict[str, list] = {
 }
 
 
-def run_suite(name: str, overrides: dict | None = None) -> list[SuiteReport]:
-    """Run one named suite, with optional keyword overrides for its parts."""
+def _at_least(lo: int | float):
+    return lambda x, args: None if x >= lo else f">= {lo}"
+
+
+def _mean_degree(x: float, args: dict) -> str | None:
+    if "sizes" in args:  # Erdos-Renyi graphs on each of the sizes
+        hi = min(args["sizes"])
+        return None if 0 <= x <= hi else f"in [0, {hi}]"
+    # Erdos-Renyi graphs on n vertices and Poisson(d) branching trees
+    hi = min(args["n"], POISSON_MEAN_CAP)
+    return None if 0 < x <= hi else f"in (0, {hi:g}]"
+
+
+# Domain of each suite parameter, by name: a function of the value and the
+# call's other arguments that returns what the value must be, or None when
+# it is valid.  A name means the same kind of quantity in every suite that
+# takes it.  Instance counts start at 1, because a run with no instance
+# reads as a failed check; means follow the generators' own domains.
+_DOMAINS = {
+    **{key: _at_least(1) for key in (
+        "models", "trees", "draws", "seeds", "graphs", "max_len", "cap", "n",
+        "min_runs", "max_runs", "sphere_trees")},
+    **{key: _at_least(2) for key in ("max_n", "max_depth")},
+    **{key: _at_least(0) for key in (
+        "removals", "random_models", "trunc_depth", "min_steps", "excess_bound",
+        "radius", "tol", "exact_tol", "beta")},
+    "offspring": lambda x, args: (
+        None if 0 < x <= POISSON_MEAN_CAP else f"in (0, {POISSON_MEAN_CAP:g}]"),
+    "d": _mean_degree,
+    "sample_vertices": lambda x, args: None if 1 <= x <= args["n"] else "in [1, n]",
+}
+
+
+def check_overrides(name: str, overrides: dict) -> None:
+    """Reject what :func:`run_suite` would fail on, before any part runs.
+
+    Raises KeyError for an unknown suite or key, and ValueError for a value
+    of the wrong type (an int where the default is an int, a finite number
+    where it is a float, a list where it is a tuple) or outside its domain.
+    """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    overrides = overrides or {}
     params = [inspect.signature(fn).parameters for fn in SUITES[name]]
     accepted = sorted(set().union(*params))
     unknown = sorted(set(overrides) - set(accepted))
     if unknown:
         raise KeyError(f"suite {name!r} accepts no key {', '.join(unknown)}; "
                        f"it accepts {', '.join(accepted)}")
+    for fn_params in params:
+        args = {key: p.default for key, p in fn_params.items()}
+        args.update((key, v) for key, v in overrides.items() if key in args)
+        for key, value in args.items():
+            default = fn_params[key].default
+            if key in overrides:
+                if isinstance(default, tuple):
+                    kind, ok = "a list", isinstance(value, (tuple, list))
+                elif default is None or isinstance(default, int):
+                    kind, ok = "an integer", isinstance(value, int)
+                else:
+                    kind = "a finite number"
+                    ok = isinstance(value, (int, float)) and math.isfinite(value)
+                if not ok:
+                    raise ValueError(f"suite {name!r}: {key} must be {kind}, got {value!r}")
+            need = _DOMAINS[key](value, args) if key in _DOMAINS and value is not None else None
+            if need:
+                raise ValueError(f"suite {name!r}: {key} must be {need}, got {value!r}")
+
+
+def run_suite(name: str, overrides: dict | None = None) -> list[SuiteReport]:
+    """Run one named suite, with optional keyword overrides for its parts."""
+    overrides = overrides or {}
+    check_overrides(name, overrides)
+    params = [inspect.signature(fn).parameters for fn in SUITES[name]]
     return [fn(**{k: v for k, v in overrides.items() if k in p})
             for fn, p in zip(SUITES[name], params)]
 

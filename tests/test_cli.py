@@ -227,6 +227,19 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["verify", "tree-bounds", "-c", typo, "-o", "/dev/null"]) == 2
     err = capsys.readouterr().err
     assert "modles" in err and "max_len" in err
+    # override values are checked before any part of the suite runs: none
+    # may end in a traceback or read as an empty, failed run
+    for suite, override in [
+        ("weitz-identity", "max_n = 0"),
+        ("coupling", "cap = 0"),
+        ("weitz-identity", "models = -3"),
+        ("tree-bounds", "trees = -1"),
+        ("coupling", "seeds = 0"),
+    ]:
+        cfg = write(tmp_path, "bad-verify.ini", f"[verify]\n{override}\n")
+        assert run(["verify", suite, "-c", cfg, "-o", "/dev/null"]) == 2, override
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, override
     # bad model or scan values end with a message, not a traceback
     for old, new in [
         ("seed = 3", "seed = 3\nh = uniform a b"),

@@ -17,9 +17,17 @@ from isinglab import kernels  # noqa: E402
 from isinglab.dynamics import UpdateStream  # noqa: E402
 from isinglab.errors import BudgetError  # noqa: E402
 from isinglab.graph import ball, ball_excesses, graph_from_edges, tree_excess  # noqa: E402
-from isinglab.model import make_model  # noqa: E402
+from isinglab.model import exact_conditional_marginal, make_model  # noqa: E402
 from isinglab.sampler import algorithm1_output_law, algorithm1_samples  # noqa: E402
-from isinglab.sawtree import build_saw_tree, saw_marginal, saw_tree_size  # noqa: E402
+from isinglab.sawtree import (  # noqa: E402
+    CHUNK_NODES,
+    build_saw_tree,
+    build_saw_trees,
+    saw_marginal,
+    saw_marginal_bracket,
+    saw_tree_size,
+    saw_tree_sizes,
+)
 from test_dynamics import chain_steps_counted  # noqa: E402
 
 NODE_BUDGET = 5000
@@ -53,8 +61,116 @@ def test_count_only_scans_agree_with_built_objects(graph, radius, data):
         assert saw_tree_size(g, v, radius, max_nodes=NODE_BUDGET) == built
 
 
+def _reference_expand(g, v, depth_limit, max_nodes):
+    """Depth-first walk-tree construction, one node at a time.
+
+    Returns the (parent, depth, label, edge_beta, fixed) arrays of the walk
+    tree from v in discovery order, raising BudgetError on the node past
+    ``max_nodes``.
+    """
+    indptr, indices, weights = g.csr_lists
+    on_walk = {v: 0}  # vertex -> its depth on the current walk
+    walk = [v] + [-1] * depth_limit  # walk[j] = vertex at depth j
+
+    parent = [-1]
+    depth = [0]
+    label = [v]
+    ebeta = [0.0]
+    fixed = [0]
+    count = 1
+
+    # stack entries: [tree node, vertex, next CSR pointer, walk depth]
+    stack = [[0, v, indptr[v], 0]] if depth_limit > 0 else []
+    while stack:
+        top = stack[-1]
+        node, u, ptr, dep = top
+        end = indptr[u + 1]
+        back = walk[dep - 1] if dep > 0 else -1
+        while ptr < end:
+            x = indices[ptr]
+            ptr += 1
+            if x != back:  # an immediate backtrack is not a walk extension
+                break
+        else:
+            del on_walk[u]
+            stack.pop()
+            continue
+        top[2] = ptr
+
+        count += 1
+        if count > max_nodes:
+            raise BudgetError(f"walk tree exceeded {max_nodes} nodes")
+        j = on_walk.get(x)
+        if j is not None:
+            # closes a cycle at the earlier visit of x
+            pin = 1 if u > walk[j + 1] else -1
+        else:
+            pin = 0
+            if dep + 1 < depth_limit:
+                on_walk[x] = dep + 1
+                walk[dep + 1] = x
+                stack.append([count - 1, x, indptr[x], dep + 1])
+        parent.append(node)
+        depth.append(dep + 1)
+        label.append(x)
+        ebeta.append(weights[ptr - 1])
+        fixed.append(pin)
+    return (np.array(parent, dtype=np.int64), np.array(depth, dtype=np.int64),
+            np.array(label, dtype=np.int64), np.array(ebeta, dtype=np.float64),
+            np.array(fixed, dtype=np.int8))
+
+
 @st.composite
-def clamped_models(draw):
+def forest_cases(draw):
+    """(graph, roots, depth, max_nodes) for the forest builder.
+
+    Half the cases are dense graphs on at most 10 vertices, deep enough
+    that one walk tree has thousands of nodes, with root lists long enough
+    to span several chunks.
+    """
+    if draw(st.booleans()):
+        n, edges = draw(edge_lists())
+        depth = draw(st.integers(0, 6))
+        roots = draw(st.lists(st.integers(0, n - 1), max_size=20))
+    else:
+        n = draw(st.integers(6, 9))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        edges = [(u, v, (u + 2 * v) / 16.0) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.55]
+        depth = draw(st.integers(5, 8))
+        roots = rng.integers(0, n, size=draw(st.integers(8, 40))).tolist()
+    max_nodes = draw(st.one_of(st.just(3 * CHUNK_NODES), st.integers(1, 3 * CHUNK_NODES)))
+    return graph_from_edges(n, edges), roots, depth, max_nodes
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(forest_cases())
+def test_forest_builder_matches_depth_first_oracle(case):
+    g, roots, depth, max_nodes = case
+    want = {}
+    try:
+        for v in set(roots):
+            want[v] = _reference_expand(g, v, depth, max_nodes)
+    except BudgetError:
+        with pytest.raises(BudgetError):
+            list(build_saw_trees(g, roots, depth, max_nodes))
+        with pytest.raises(BudgetError):
+            saw_tree_sizes(g, roots, depth, max_nodes)
+        return
+    got = list(build_saw_trees(g, roots, depth, max_nodes))
+    assert len(got) == len(roots)
+    for tree, v in zip(got, roots):
+        built = (tree.tree.parent, tree.tree.depth, tree.tree.label, tree.edge_beta, tree.fixed)
+        for a, b in zip(built, want[v]):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+    sizes = saw_tree_sizes(g, roots, depth, max_nodes)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [tree.size for tree in got]
+
+
+@st.composite
+def clamped_models(draw, fields=st.floats(-4.0, 4.0)):
     """Connected model on <= 8 vertices: a random tree, a few chords, clamps."""
     n = draw(st.integers(1, 8))
     betas = st.floats(0.05, 1.5)
@@ -62,7 +178,7 @@ def clamped_models(draw):
     for _ in range(draw(st.integers(0, 3)) if n > 2 else 0):
         u = draw(st.integers(0, n - 2))
         edges.setdefault((u, draw(st.integers(u + 1, n - 1))), draw(betas))
-    h = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    h = draw(st.lists(fields, min_size=n, max_size=n))
     clamp = draw(st.lists(st.sampled_from([0, 0, 1, -1]), min_size=n, max_size=n))
     clamp[draw(st.integers(0, n - 1))] = 0  # at least one free vertex
     g = graph_from_edges(n, [(u, v, b) for (u, v), b in edges.items()], h=h, clamp=clamp)
@@ -342,3 +458,23 @@ def test_tree_fold_matches_numpy_reference(nodes):
     want = _ref_tree_root_field(parent, edge_beta, h_node, clamp)
     assert float(got).hex() == float(want).hex()
     assert h_node.tobytes() == before.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# walk-tree marginals against enumeration
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(clamped_models(st.one_of(st.floats(-800.0, 800.0), st.sampled_from([-800.0, 800.0]))),
+       st.data())
+def test_walk_tree_marginal_and_bracket_match_enumeration(m, data):
+    free = m.graph.free_vertices().tolist()
+    v = data.draw(st.sampled_from(free))
+    others = [u for u in free if u != v]
+    cond = data.draw(st.dictionaries(st.sampled_from(others), spin)) if others else {}
+    exact = exact_conditional_marginal(m, v, cond)
+    # the weitz-identity suite's tolerance
+    assert abs(saw_marginal(m, v, m.n + 1, cond=cond) - exact) <= 1e-9
+    for depth in range(m.n + 2):
+        lo, hi = saw_marginal_bracket(m, v, depth, cond=cond)
+        assert lo - 1e-12 <= exact <= hi + 1e-12, depth
