@@ -40,7 +40,8 @@ from .graph import (
 from .model import clamp_large_fields, make_model
 from .rng import substream
 from .sampler import algorithm1_samples, radius_for
-from .sawtree import build_saw_tree, saw_marginal_from_tree
+from .sawtree import build_saw_tree, tree_model
+from .treecalc import boundary_influence
 from .verify import DEFAULT_MASTER_SEED, er_coupling_run, star_coupling_run
 
 
@@ -201,9 +202,9 @@ def model_from_section(sec: Section) -> tuple[WeightedGraph, str]:
                 h = np.full(g.n, float(tokens[0]))
             else:
                 raise ConfigError(f"bad h value {raw!r}")
-        except ValueError as e:
+            g = g.with_vertex_data(h=h)
+        except (ValueError, OverflowError) as e:  # numpy overflows on non-finite bounds
             raise ConfigError(f"bad h value {raw!r}: {e}") from e
-        g = g.with_vertex_data(h=h)
     return g, tag
 
 
@@ -352,12 +353,11 @@ def cmd_decay_scan(args) -> int:
         for l in radii:
             try:
                 st = build_saw_tree(g, v, l, max_nodes=max_nodes)
-                lo = saw_marginal_from_tree(st, m, boundary="minus")
-                hi = saw_marginal_from_tree(st, m, boundary="plus")
+                influence = boundary_influence(tree_model(st, m, g.clamp), l)
                 sphere = int(st.boundary.size)
                 bound = sphere * math.tanh(beta_max) ** l
                 lines.append(
-                    f"{v},{l},{_fmt(hi - lo)},{sphere},{_fmt(bound)},ok"
+                    f"{v},{l},{_fmt(influence)},{sphere},{_fmt(bound)},ok"
                 )
             except BudgetError:
                 lines.append(f"{v},{l},nan,0,nan,budget")
@@ -378,7 +378,10 @@ def cmd_sample(args) -> int:
     if sec.has("L"):
         depth = sec.get_int("L", minimum=0)
     elif sec.has("r"):
-        depth = radius_for(m.n, sec.get_float("r"))
+        try:
+            depth = radius_for(m.n, sec.get_float("r"))
+        except ValueError as e:
+            raise ConfigError(f"[sample] r: {e}") from e
     else:
         raise ConfigError("[sample] needs L (radius) or r (radius factor)")
     draws = sec.get_int("draws", 1, minimum=1)
@@ -431,7 +434,10 @@ def cmd_gw_stats(args) -> int:
     spheres = {r: np.empty(seeds) for r in radii}
     densities = np.empty(seeds, dtype=np.int64)
     for k in range(seeds):
-        tree = generate_galton_watson(d, depth, master + k)
+        try:
+            tree = generate_galton_watson(d, depth, master + k)
+        except ValueError as e:
+            raise ConfigError(f"[gw] d: {e}") from e
         for r in radii:
             spheres[r][k] = np.count_nonzero(tree.depth == r)
         densities[k] = tree_path_density(tree)

@@ -3,7 +3,7 @@
 The central type is :class:`WeightedGraph`, a CSR adjacency over vertices
 0..n-1 with one nonnegative coupling per edge, a field per vertex, and an
 optional clamp (+1/-1) per vertex.  Arrays are frozen after construction;
-all derived objects (balls, spanning trees) copy what they need.
+all derived objects (balls, subgraphs) copy what they need.
 
 Vertex sets here use plain sorted numpy arrays; neighbor lists are sorted
 ascending, which the tree constructions below rely on for determinism.
@@ -90,6 +90,8 @@ class WeightedGraph:
         new_c = self.clamp if clamp is None else np.asarray(clamp, dtype=np.int8)
         if new_h.shape != (self.n,) or new_c.shape != (self.n,):
             raise ValueError("vertex data must have shape (n,)")
+        if not np.all(np.isfinite(new_h)):
+            raise ValueError("fields must be finite")
         if not np.all(np.isin(new_c, (-1, 0, 1))):
             raise ValueError("clamp values must be -1, 0 or +1")
         return WeightedGraph(
@@ -326,46 +328,6 @@ def ball_excesses(g: WeightedGraph, radius: int) -> np.ndarray:
                     half_edges += 1
         out[v] = half_edges // 2 - size + 1
     return out
-
-
-def bfs_spanning_tree(b: Ball) -> tuple[RootedTree, list[tuple[int, int]]]:
-    """Breadth-first spanning tree of a ball plus its non-tree edges.
-
-    Levels are processed in ascending original-vertex order and each
-    processed vertex adopts its not-yet-attached neighbors in ascending
-    order, so the tree is a deterministic function of the ball.  Returns
-    the tree (labels = original ids) and the leftover edges as local index
-    pairs; their count equals the cycle excess of the ball.
-    """
-    sub = b.subgraph
-    nn = sub.n
-    node_of = np.full(nn, -1, dtype=np.int64)  # local vertex -> tree node
-    parent = [-1]
-    depth = [0]
-    label = [int(b.vertices[0])]
-    node_of[0] = 0
-    tree_edges = set()
-    # collect local ids level by level
-    for level in range(0, int(b.dist.max(initial=0))):
-        members = np.flatnonzero(b.dist == level)
-        members = members[np.argsort(b.vertices[members])]
-        for u in members:
-            nbrs, _ = sub.neighbors(int(u))
-            for w in nbrs:
-                w = int(w)
-                if node_of[w] < 0:
-                    node_of[w] = len(parent)
-                    parent.append(int(node_of[u]))
-                    depth.append(level + 1)
-                    label.append(int(b.vertices[w]))
-                    tree_edges.add((min(int(u), w), max(int(u), w)))
-    tree = make_rooted_tree(np.array(parent), np.array(depth), np.array(label))
-    extra = [
-        (int(u), int(w))
-        for u, w in sub.edge_array()
-        if (int(u), int(w)) not in tree_edges
-    ]
-    return tree, extra
 
 
 def path_density(b: Ball, l: int | None = None, budget: int = DEFAULT_VISIT_BUDGET) -> int:

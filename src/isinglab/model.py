@@ -149,8 +149,12 @@ def index_config(idx: int, n: int) -> np.ndarray:
     return s
 
 
-def _log_weights_table(m: IsingModel) -> tuple[np.ndarray, np.ndarray]:
-    """(log weight, clamp-consistent) arrays over all 2^n bitmask states."""
+def _log_weights_table(m: IsingModel,
+                       pins: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(log weight, pin-consistent) arrays over all 2^n bitmask states.
+
+    ``pins`` (+-1 pinned, 0 free) defaults to the model's clamps.
+    """
     g = m.graph
     n = g.n
     if n > EXACT_ENUM_CAP:
@@ -165,9 +169,11 @@ def _log_weights_table(m: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     for v in range(n):
         sv = 2.0 * ((idx >> v) & 1) - 1.0
         logw += g.h[v] * sv
+    if pins is None:
+        pins = g.clamp
     ok = np.ones(1 << n, dtype=bool)
     for v in range(n):
-        c = g.clamp[v]
+        c = pins[v]
         if c != 0:
             bit = (idx >> v) & 1
             ok &= bit == (1 if c > 0 else 0)
@@ -204,18 +210,13 @@ def exact_conditional_marginal(m: IsingModel, v: int, cond: dict[int, int] | Non
     pins = merge_conditioning(m, cond)
     if pins[v] != 0:
         raise ConditioningError(f"query vertex {v} is pinned")
-    logw, ok = _log_weights_table(m)
-    idx = np.arange(1 << m.n, dtype=np.int64)
-    for u in range(m.n):
-        c = pins[u]
-        if c != 0:
-            ok &= ((idx >> u) & 1) == (1 if c > 0 else 0)
+    logw, ok = _log_weights_table(m, pins)
     if not ok.any():
         raise ConditioningError("conditioning event has probability zero")
     shift = logw[ok].max()
     # states outside the event get exp(-inf) = 0, so none overflows
     mass = np.exp(np.where(ok, logw - shift, -np.inf))
-    num = mass[((idx >> v) & 1) == 1].sum()
+    num = mass[((np.arange(1 << m.n) >> v) & 1) == 1].sum()
     return float(num / mass.sum())
 
 

@@ -28,7 +28,8 @@ import numpy as np
 from .dynamics import UpdateStream
 from .errors import SizeError
 from .model import ExactDistribution, IsingModel
-from .sawtree import DEFAULT_NODE_BUDGET, build_saw_trees, saw_marginal_from_pins
+from .sawtree import DEFAULT_NODE_BUDGET, build_saw_trees, tree_model
+from .treecalc import root_marginal
 
 OUTPUT_LAW_VERTEX_CAP = 14
 
@@ -68,7 +69,7 @@ def algorithm1_samples(m: IsingModel, depth_limit: int, streams: list[UpdateStre
     for i, (v, st) in enumerate(zip(free, trees)):
         sizes[i] = st.size
         for k, pins in enumerate(spins):
-            p = saw_marginal_from_pins(st, m, pins)
+            p = root_marginal(tree_model(st, m, pins))
             pins[v] = 1 if us[k][i] <= p else -1
             ps[k, i] = p
     return [SamplerRun(depth_limit, free.copy(), ps[k], spins[k], sizes.copy())
@@ -106,7 +107,7 @@ def algorithm1_output_law(m: IsingModel, depth_limit: int,
             probs[mask] += weight
             return
         v = int(free[i])
-        p = saw_marginal_from_pins(trees[i], m, pins)
+        p = root_marginal(tree_model(trees[i], m, pins))
         pins[v] = 1
         descend(i + 1, mask | (1 << v), weight * p)
         pins[v] = -1
@@ -147,4 +148,6 @@ def radius_for(n: int, factor: float) -> int:
     """Integer truncation radius factor * log n, rounded up (at least 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"radius factor must be finite and > 0, got {factor}")
     return max(1, math.ceil(factor * math.log(max(n, 2))))

@@ -8,7 +8,9 @@ fixed local rule.  With conditioned spins copied onto every occurrence,
 P_G(s_v = + | conditioning) equals the root marginal of the walk tree.
 A walk tree truncated at depth L brackets the true marginal between its
 all-minus-boundary and all-plus-boundary evaluations, with a gap
-controlled by boundary size times tanh(beta_max)^L.
+controlled by boundary size times tanh(beta_max)^L.  :func:`tree_model`
+turns a built tree and a pins vector into a treecalc model, and treecalc
+does every evaluation.
 
 Pin rule at a cycle closure: when the walk w_0..w_m steps back onto an
 earlier vertex w_j, the new leaf is pinned + exactly when the closing
@@ -33,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import BudgetError, ConditioningError
 from .graph import RootedTree, WeightedGraph, make_rooted_tree
-from .model import IsingModel, merge_conditioning, plus_prob
+from .model import IsingModel, merge_conditioning
+from .treecalc import TreeModel, boundary_bracket, root_marginal
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -245,50 +247,31 @@ def _preorder_trees(levels, counts: np.ndarray, depth_limit: int) -> Iterator[Sa
                       boundary.astype(np.int64))
 
 
-def _node_pins(st: SawTree, m: IsingModel, pins: np.ndarray,
-               boundary: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (h, clamp) arrays for evaluating a walk-tree marginal.
+def tree_model(st: SawTree, m: IsingModel, pins: np.ndarray) -> TreeModel:
+    """The walk tree as a tree model under a pins vector.
 
-    Spins pinned in ``pins`` are copied onto every occurrence of their
-    vertex and override cycle-closure pins there; free truncation leaves
-    are pinned per ``boundary`` ("free", "plus" or "minus").
+    ``pins`` is int8, +-1 at every clamped or conditioned vertex and 0
+    elsewhere, as :func:`merge_conditioning` returns it, and is used
+    unchecked.  Its spins are copied onto every occurrence of their
+    vertex, over the cycle-closure pins there.  Raises ConditioningError
+    when the root's vertex is pinned.
     """
     labels = st.tree.label
-    root_vertex = int(labels[0])
-    if pins[root_vertex] != 0:
-        raise ConditioningError(f"query vertex {root_vertex} is pinned")
-    clamp = np.where(pins[labels] != 0, pins[labels], st.fixed).astype(np.int8)
-    if boundary != "free":
-        if boundary not in ("plus", "minus"):
-            raise ValueError(f"boundary must be free/plus/minus, got {boundary}")
-        val = 1 if boundary == "plus" else -1
-        b = st.boundary[clamp[st.boundary] == 0]
-        clamp[b] = val
-    return m.graph.h[labels], clamp
-
-
-def saw_marginal_from_pins(st: SawTree, m: IsingModel, pins: np.ndarray,
-                           boundary: str = "free") -> float:
-    """Root marginal of a built walk tree under a pins vector.
-
-    ``pins`` is +-1 at every clamped or conditioned vertex and 0 elsewhere,
-    as :func:`merge_conditioning` returns it, and is used unchecked.
-    """
-    h_node, clamp = _node_pins(st, m, pins, boundary)
-    if clamp[0] != 0:  # at depth limit 0 the root is the truncation surface
-        return 1.0 if clamp[0] > 0 else 0.0
-    return plus_prob(kernels.tree_root_field(st.tree.parent, st.edge_beta, h_node, clamp))
+    node_pins = pins[labels]
+    if node_pins[0] != 0:
+        raise ConditioningError(f"query vertex {int(labels[0])} is pinned")
+    clamp = np.where(node_pins, node_pins, st.fixed)
+    return TreeModel(st.tree, st.edge_beta, m.graph.h[labels], clamp)
 
 
 def saw_marginal_from_tree(st: SawTree, m: IsingModel,
-                           cond: dict[int, int] | None = None,
-                           boundary: str = "free") -> float:
+                           cond: dict[int, int] | None = None) -> float:
     """Root marginal of an already-built walk tree under a conditioning."""
-    return saw_marginal_from_pins(st, m, merge_conditioning(m, cond), boundary)
+    return root_marginal(tree_model(st, m, merge_conditioning(m, cond)))
 
 
 def saw_marginal(m: IsingModel, v: int, depth_limit: int,
-                 cond: dict[int, int] | None = None, boundary: str = "free",
+                 cond: dict[int, int] | None = None,
                  max_nodes: int = DEFAULT_NODE_BUDGET) -> float:
     """P(s_v = + | cond) computed through the walk tree.
 
@@ -298,7 +281,7 @@ def saw_marginal(m: IsingModel, v: int, depth_limit: int,
     The tree is built fresh on every call.
     """
     st = build_saw_tree(m.graph, v, depth_limit, max_nodes=max_nodes)
-    return saw_marginal_from_tree(st, m, cond=cond, boundary=boundary)
+    return saw_marginal_from_tree(st, m, cond=cond)
 
 
 def saw_marginal_bracket(m: IsingModel, v: int, depth_limit: int,
@@ -310,9 +293,7 @@ def saw_marginal_bracket(m: IsingModel, v: int, depth_limit: int,
     in the boundary, so the pair brackets the untruncated value.
     """
     st = build_saw_tree(m.graph, v, depth_limit, max_nodes=max_nodes)
-    lo = saw_marginal_from_tree(st, m, cond=cond, boundary="minus")
-    hi = saw_marginal_from_tree(st, m, cond=cond, boundary="plus")
-    return lo, hi
+    return boundary_bracket(tree_model(st, m, merge_conditioning(m, cond)), depth_limit)
 
 
 def saw_tree_dump(st: SawTree) -> str:

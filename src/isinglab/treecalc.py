@@ -8,6 +8,8 @@ effective field F.  Folding children into parents via
 gives P(root = +1) = logistic(2 F_root); a pinned child contributes its
 coupling with the pin's sign exactly.  The fold runs in one descending
 pass thanks to the parent[i] < i node order (see kernels.tree_root_field).
+Pinning the free depth-l sphere all minus and all plus brackets the root
+marginal; walk trees are evaluated here too, through sawtree.tree_model.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .graph import RootedTree, WeightedGraph, tree_as_graph
+from .graph import RootedTree
 from .model import plus_prob
 
 
@@ -65,30 +67,24 @@ def with_pins(tm: TreeModel, nodes, value: int) -> TreeModel:
     return TreeModel(tm.tree, tm.edge_beta, tm.h, clamp)
 
 
-def boundary_influence(tm: TreeModel, l: int) -> float:
-    """Root marginal shift when the full depth-l sphere flips from - to +.
+def boundary_bracket(tm: TreeModel, l: int) -> tuple[float, float]:
+    """Root marginal with the free depth-l sphere pinned all - and all +.
 
     Nodes already pinned keep their pin; only free sphere nodes are set.
-    Returns P(root=+ | sphere +) - P(root=+ | sphere -), which is >= 0
-    for cooperative couplings.
+    For cooperative couplings the pair (lower, upper) encloses the root
+    marginal under any boundary condition on that sphere.
     """
     if l < 0:
         raise ValueError("depth must be >= 0")
     sphere = np.flatnonzero((tm.tree.depth == l) & (tm.clamp == 0))
-    hi = root_marginal(with_pins(tm, sphere, 1))
-    lo = root_marginal(with_pins(tm, sphere, -1))
+    return root_marginal(with_pins(tm, sphere, -1)), root_marginal(with_pins(tm, sphere, 1))
+
+
+def boundary_influence(tm: TreeModel, l: int) -> float:
+    """Root marginal shift when the free depth-l sphere flips from - to +.
+
+    Returns P(root=+ | sphere +) - P(root=+ | sphere -), which is >= 0
+    for cooperative couplings.
+    """
+    lo, hi = boundary_bracket(tm, l)
     return hi - lo
-
-
-def two_point_influence(tm: TreeModel, node: int) -> float:
-    """Root marginal shift when one free node flips from - to +."""
-    if tm.clamp[node] != 0:
-        raise ValueError(f"node {node} is pinned")
-    hi = root_marginal(with_pins(tm, [node], 1))
-    lo = root_marginal(with_pins(tm, [node], -1))
-    return hi - lo
-
-
-def tree_model_as_graph(tm: TreeModel) -> WeightedGraph:
-    """The same model as a WeightedGraph on vertex ids = node indices."""
-    return tree_as_graph(tm.tree, edge_beta=tm.edge_beta, h=tm.h, clamp=tm.clamp)

@@ -131,6 +131,36 @@ def test_decay_scan_budget_rows_continue(tmp_path, monkeypatch):
     assert len(rows) == 4 * 2  # flagged rows do not abort the scan
 
 
+DECAY_PIN_INI = """\
+[model]
+kind = er
+n = 300
+d = 2.5
+beta = 0.4
+seed = 7
+h = uniform -0.6 0.6
+
+[scan]
+radii = 0 1 2 3 4 5 6 7 8
+vertices = 10
+max_nodes = 2000
+"""
+
+
+def test_decay_scan_bytes_pinned(tmp_path, monkeypatch):
+    # sha256 recorded when decay-scan still pinned the walk-tree boundary
+    # in sawtree; fields, radius 0 and budget rows are all covered
+    monkeypatch.setenv("ISINGLAB_WORKERS", "1")
+    cfg = write(tmp_path, "decay-pin.ini", DECAY_PIN_INI)
+    out = tmp_path / "decay-pin.csv"
+    assert run(["decay-scan", "-c", cfg, "-o", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert any(r.endswith(",budget") for r in rows)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "73063e826c2f89baf0f7d56d32bff5ff1bbd4ef230cd308282846a0b0ba5cef9"
+    )
+
+
 def test_sample_json(tmp_path):
     cfg = write(tmp_path, "sample.ini", SAMPLE_INI)
     out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
@@ -248,6 +278,9 @@ def test_exit_codes(tmp_path, capsys):
         ("beta = 0.4", "beta = -1"),
         ("radii = 2 3", "radii = -1 2"),
         ("vertices = 4", "vertices = -3"),
+        ("seed = 3", "seed = 3\nh = nan"),
+        ("seed = 3", "seed = 3\nh = -inf"),
+        ("seed = 3", "seed = 3\nh = uniform 0 inf"),
     ]:
         cfg = write(tmp_path, "bad-decay.ini", DECAY_INI.replace(old, new))
         assert run(["decay-scan", "-c", cfg, "-o", "/dev/null"]) == 2, new
@@ -258,6 +291,13 @@ def test_exit_codes(tmp_path, capsys):
         ("sample", SAMPLE_INI, "draws = 2", "draws = 0"),
         ("sample", SAMPLE_INI, "draws = 2", "draws = -1"),
         ("sample", SAMPLE_INI, "L = 8", "L = 0\nmax_nodes = 0"),
+        ("sample", SAMPLE_INI, "L = 8", "r = nan"),
+        ("sample", SAMPLE_INI, "L = 8", "r = inf"),
+        ("sample", SAMPLE_INI, "L = 8", "r = -2"),
+        ("sample", SAMPLE_INI, "beta = 0.4", "beta = 0.4\nh = nan"),
+        ("gw-stats", GW_INI, "d = 2.0", "d = 0"),
+        ("gw-stats", GW_INI, "d = 2.0", "d = 31"),
+        ("gw-stats", GW_INI, "d = 2.0", "d = nan"),
         ("gw-stats", GW_INI, "seeds = 60", "seeds = 0"),
         ("gw-stats", GW_INI, "seeds = 60", "seeds = -5"),
         ("gw-stats", GW_INI, "radii = 3 4", "radii = -1 3"),

@@ -9,7 +9,6 @@ from isinglab.graph import (
     Ball,
     ball,
     ball_excesses,
-    bfs_spanning_tree,
     cycle_graph,
     generate_erdos_renyi,
     generate_galton_watson,
@@ -38,6 +37,11 @@ def test_graph_from_edges_validation():
         graph_from_edges(3, [(0, 3, 1.0)])
     with pytest.raises(ValueError):
         graph_from_edges(3, [(0, 1, -0.2)])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            graph_from_edges(3, [(0, 1, 1.0)], h=[0.0, bad, 0.0])
+        with pytest.raises(ValueError):
+            path_graph(3).with_vertex_data(h=[bad, 0.0, 0.0])
 
 
 def test_csr_rows_sorted_and_symmetric():
@@ -82,6 +86,8 @@ def test_read_graph_rejects_garbage():
         graph_from_text("not a header\n")
     with pytest.raises(ValueError):
         graph_from_text("2 1\n0 1 1.0\n0 0.0\n")  # missing a field line
+    with pytest.raises(ValueError):
+        graph_from_text("2 1\n0 1 1.0\n0 0.0\n1 nan\n")
 
 
 def test_small_topologies():
@@ -167,34 +173,14 @@ def test_ball_excesses_match_ball_subgraphs():
         ball_excesses(path_graph(4), -1)
 
 
-def test_excess_equals_nontree_edges():
-    # cycle excess from edge counting vs from the spanning-tree extras
-    rng = substream(17, "graph-test-excess")
-    checked = 0
-    for trial in range(100):
-        n = int(rng.integers(30, 120))
-        g = generate_erdos_renyi(n, 2.2, seed=1000 + trial, beta=0.3)
-        v = int(rng.integers(0, n))
-        r = int(rng.integers(1, 4))
-        b = ball(g, v, r)
-        tree, extras = bfs_spanning_tree(b)
-        assert tree.size == b.vertices.size
-        assert tree_excess(b.subgraph) == len(extras)
-        checked += 1
-    assert checked == 100
-
-
 def test_path_density_matches_tree_density_on_trees():
-    rng = substream(23, "graph-test-density")
     for k in range(20):
         t = generate_galton_watson(2.0, 4, seed=40 + k)
         if t.size < 2:
             continue
-        g = tree_as_graph(t)
-        b = ball(g, 0, int(t.depth.max()))
-        tree, extras = bfs_spanning_tree(b)
-        assert extras == []
-        assert path_density(b) == tree_path_density(tree)
+        b = ball(tree_as_graph(t), 0, t.height)
+        assert tree_excess(b.subgraph) == 0
+        assert path_density(b) == tree_path_density(t)
 
 
 def test_path_density_budget():

@@ -12,6 +12,7 @@ from isinglab.model import exact_distribution, make_model, tv_distance
 from isinglab.sampler import (
     algorithm1_output_law,
     algorithm1_sample,
+    algorithm1_samples,
     radius_for,
     sufficient_radius_factor,
     truncation_tv_bound,
@@ -67,8 +68,8 @@ def test_sample_frequencies_match_law():
     law = algorithm1_output_law(m, m.n + 1)
     counts = np.zeros(8)
     draws = 6000
-    for k in range(draws):
-        run = algorithm1_sample(m, m.n + 1, UpdateStream(m, 606, chain_id=k))
+    streams = [UpdateStream(m, 606, chain_id=k) for k in range(draws)]
+    for run in algorithm1_samples(m, m.n + 1, streams):
         idx = sum(1 << v for v in range(3) if run.spins[v] > 0)
         counts[idx] += 1
     emp = counts / draws

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from isinglab.graph import generate_galton_watson, make_rooted_tree
+from isinglab.graph import generate_galton_watson, make_rooted_tree, tree_as_graph
 from isinglab.model import exact_conditional_marginal, make_model
 from isinglab.rng import substream
 from isinglab.treecalc import (
+    boundary_bracket,
     boundary_influence,
     make_tree_model,
     root_field,
     root_marginal,
-    tree_model_as_graph,
-    two_point_influence,
     with_pins,
 )
 
@@ -49,7 +48,7 @@ def test_root_marginal_matches_enumeration():
         clamp = np.where(rng.random(nn) < 0.15, rng.choice([-1, 1], size=nn), 0).astype(np.int8)
         clamp[0] = 0
         tm = make_tree_model(t, eb, h=h, clamp=clamp)
-        m = make_model(tree_model_as_graph(tm))
+        m = make_model(tree_as_graph(t, edge_beta=eb, h=h, clamp=clamp))
         assert root_marginal(tm) == pytest.approx(
             exact_conditional_marginal(m, 0), abs=1e-11
         )
@@ -61,7 +60,7 @@ def test_path_decay_product_identity():
     for length in (1, 2, 5, 9):
         betas = rng.uniform(0.1, 1.3, size=length)
         tm = chain_model(betas)
-        infl = two_point_influence(tm, length)
+        infl = boundary_influence(tm, length)
         expect = float(np.prod(np.tanh(betas)))
         assert infl == pytest.approx(expect, abs=1e-13)
 
@@ -89,7 +88,10 @@ def test_boundary_influence_sign_and_bound():
         assert 0.0 <= infl <= bound + 1e-12
 
 
-def test_two_point_influence_rejects_pinned_node():
+def test_boundary_influence_keeps_pinned_sphere_node():
+    # an already-pinned sphere node keeps its pin at both ends of the bracket
     tm = chain_model([0.5], clamp=[0, 1])
+    assert boundary_bracket(tm, 1) == (root_marginal(tm), root_marginal(tm))
+    assert boundary_influence(tm, 1) == 0.0
     with pytest.raises(ValueError):
-        two_point_influence(tm, 1)
+        boundary_influence(tm, -1)
