@@ -429,6 +429,8 @@ def cmd_gw_stats(args) -> int:
         raise ConfigError(f"[gw] radii must be one or more values >= 0, got {sec.raw('radii')!r}")
     seeds = sec.get_int("seeds", 10000, minimum=1)
     t_scale = sec.get_float("t", 1.0)
+    if not math.isfinite(t_scale):
+        raise ConfigError(f"[gw] t must be finite, got {sec.raw('t')!r}")
     master = sec.get_int("master_seed", DEFAULT_MASTER_SEED)
     depth = max(radii)
     spheres = {r: np.empty(seeds) for r in radii}
@@ -445,9 +447,18 @@ def cmd_gw_stats(args) -> int:
     lines.append("r,seeds,mean_sphere,d_pow_r,mean_exp_scaled,mean_density,max_density")
     for r in radii:
         z = spheres[r]
-        mean_exp = float(np.mean(np.exp(t_scale * z / d**r)))
+        try:
+            d_pow_r = d**r
+        except OverflowError as e:
+            raise ConfigError(f"[gw] d = {d!r} to the power r = {r} overflows") from e
+        with np.errstate(all="ignore"):
+            mean_exp = float(np.mean(np.exp(t_scale * z / d_pow_r)))
+        if not math.isfinite(mean_exp):
+            raise ConfigError(
+                f"[gw] t = {t_scale!r} and d = {d!r} give a non-finite mean_exp_scaled at r = {r}"
+            )
         lines.append(
-            f"{r},{seeds},{_fmt(z.mean())},{_fmt(d**r)},{_fmt(mean_exp)},"
+            f"{r},{seeds},{_fmt(z.mean())},{_fmt(d_pow_r)},{_fmt(mean_exp)},"
             f"{_fmt(densities.mean())},{densities.max()}"
         )
     _emit(args.output, lines)

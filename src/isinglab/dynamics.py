@@ -15,7 +15,7 @@ mixing time at total-variation threshold 1/(2e).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,10 @@ from . import kernels
 from .errors import MonotonicityError, SizeError
 from .model import (
     IsingModel,
+    _log_weights_table,
     all_minus,
     all_plus,
+    normalize_log_weights,
     respects_clamps,
     spins_array,
 )
@@ -94,17 +96,6 @@ class CouplingResult:
     steps: int  # first-agreement step (1-based) if coupled, else the cap
     cap: int
     checkpoints: list[tuple[int, int]]  # (step, Hamming distance)
-
-    def to_json_dict(self, *, seed: int, n: int, d: float, beta: float) -> dict:
-        return {
-            "seed": int(seed),
-            "n": int(n),
-            "d": float(d),
-            "beta": float(beta),
-            "coupled": bool(self.coupled),
-            "steps": int(self.steps),
-            "checkpoints": [[int(t), int(hd)] for t, hd in self.checkpoints],
-        }
 
 
 def default_checkpoints(cap: int) -> list[int]:
@@ -212,71 +203,53 @@ class TransitionMatrix:
     reversible: bool
 
 
-def _state_spins(m: IsingModel, free: np.ndarray) -> np.ndarray:
-    """(2^k, n) array of full configurations, one per free-spin state."""
-    k = free.size
-    states = np.arange(1 << k, dtype=np.int64)
-    s = np.tile(m.graph.clamp.astype(np.float64), (1 << k, 1))
-    for i, v in enumerate(free):
-        s[:, v] = 2.0 * ((states >> i) & 1) - 1.0
-    return s
+def _free_state_law(m: IsingModel) -> tuple[np.ndarray, np.ndarray]:
+    """(log weight, Boltzmann probability) of each free-spin state.
 
-
-def _dense_couplings(m: IsingModel) -> np.ndarray:
-    g = m.graph
-    w = np.zeros((g.n, g.n))
-    w[g.rows(), g.indices] = g.weights
-    return w
-
-
-def build_transition_matrix(m: IsingModel) -> TransitionMatrix:
-    """Exact single-site dynamics matrix; capped at MATRIX_VERTEX_CAP vertices."""
+    These are the clamp-consistent rows of the model's bitmask table.  In
+    ascending order they are already in free-state order: clamped bits are
+    fixed, and the free bits keep their relative order.
+    """
     if m.n > MATRIX_VERTEX_CAP:
         raise SizeError(f"transition matrix capped at {MATRIX_VERTEX_CAP} vertices")
-    free = m.graph.free_vertices()
-    k = free.size
-    if k == 0:
-        raise ValueError("model has no free vertices")
-    spins = _state_spins(m, free)
-    w = _dense_couplings(m)
-    fields = spins @ w + m.graph.h  # (2^k, n)
-    p_plus = 1.0 / (1.0 + np.exp(-2.0 * fields))
-    size = 1 << k
-    mat = np.zeros((size, size))
-    states = np.arange(size)
-    for i, v in enumerate(free):
-        target = states ^ (1 << i)
-        bit_up = ((states >> i) & 1) == 1
-        flip_prob = np.where(bit_up, 1.0 - p_plus[:, v], p_plus[:, v])
-        mat[states, target] += flip_prob / k
-    mat[states, states] += 1.0 - mat.sum(axis=1)
-    stationary = _stationary_slice(m, spins)
+    logw, ok = _log_weights_table(m)
+    probs, _ = normalize_log_weights(logw, ok)
+    return logw[ok], probs[ok]
+
+
+def _transition_matrix(mat: np.ndarray, stationary: np.ndarray,
+                       free: np.ndarray) -> TransitionMatrix:
     flux = stationary[:, None] * mat
     reversible = bool(np.abs(flux - flux.T).max() <= 1e-10)
     return TransitionMatrix(mat, stationary, free, reversible)
 
 
-def _stationary_slice(m: IsingModel, spins: np.ndarray) -> np.ndarray:
-    g = m.graph
-    w = _dense_couplings(m)
-    pair = 0.5 * np.einsum("si,ij,sj->s", spins, w, spins)
-    logw = pair + spins @ g.h
-    logw -= logw.max()
-    mass = np.exp(logw)
-    return mass / mass.sum()
+def build_transition_matrix(m: IsingModel) -> TransitionMatrix:
+    """Exact single-site dynamics matrix; capped at MATRIX_VERTEX_CAP vertices."""
+    logw, stationary = _free_state_law(m)
+    free = m.graph.free_vertices()
+    k = free.size
+    if k == 0:
+        raise ValueError("model has no free vertices")
+    size = 1 << k
+    mat = np.zeros((size, size))
+    states = np.arange(size)
+    for i in range(k):
+        target = states ^ (1 << i)
+        # heat bath: P(target) / (P(state) + P(target)), a logistic of the
+        # log-weight gap that neither overflows nor loses either tail
+        mat[states, target] += np.exp(-np.logaddexp(0.0, logw - logw[target])) / k
+    mat[states, states] += 1.0 - mat.sum(axis=1)
+    return _transition_matrix(mat, stationary, free)
 
 
 def build_block_transition_matrix(m: IsingModel, blocks: list[list[int]]) -> TransitionMatrix:
     """Exact matrix of uniform-random-block resampling dynamics."""
-    if m.n > MATRIX_VERTEX_CAP:
-        raise SizeError(f"transition matrix capped at {MATRIX_VERTEX_CAP} vertices")
+    _, stationary = _free_state_law(m)
     checked = _check_blocks(m, blocks)
     free = m.graph.free_vertices()
-    k = free.size
-    size = 1 << k
+    size = 1 << free.size
     pos_of = {int(v): i for i, v in enumerate(free)}
-    spins = _state_spins(m, free)
-    stationary = _stationary_slice(m, spins)
     mat = np.zeros((size, size))
     for block in checked:
         bits = np.array([pos_of[int(v)] for v in block], dtype=np.int64)
@@ -294,9 +267,7 @@ def build_block_transition_matrix(m: IsingModel, blocks: list[list[int]]) -> Tra
                 raise ValueError("degenerate conditional in block dynamics")
             mat[np.ix_(idx, idx)] += pi / total
     mat /= len(checked)
-    flux = stationary[:, None] * mat
-    reversible = bool(np.abs(flux - flux.T).max() <= 1e-10)
-    return TransitionMatrix(mat, stationary, free, reversible)
+    return _transition_matrix(mat, stationary, free)
 
 
 def spectral_analysis(t: TransitionMatrix) -> tuple[float, float]:

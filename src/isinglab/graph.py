@@ -11,7 +11,6 @@ ascending, which the tree constructions below rely on for determinism.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -242,16 +241,6 @@ class Ball:
     @property
     def size(self) -> int:
         return self.vertices.shape[0]
-
-    def sphere(self) -> np.ndarray:
-        """Original ids at hop distance exactly ``radius``, ascending."""
-        return np.sort(self.vertices[self.dist == self.radius])
-
-    def local_of(self, vertex: int) -> int:
-        pos = np.flatnonzero(self.vertices == vertex)
-        if pos.size == 0:
-            raise ValueError(f"vertex {vertex} not in ball")
-        return int(pos[0])
 
 
 def ball(g: WeightedGraph, v: int, radius: int) -> Ball:
@@ -577,13 +566,3 @@ def read_graph(path_or_file) -> WeightedGraph:
         seen[v] = True
         h[v] = float(row[1])
     return graph_from_edges(n, edges, h=h)
-
-
-def graph_to_text(g: WeightedGraph, comment: str | None = None) -> str:
-    buf = io.StringIO()
-    write_graph(g, buf, comment=comment)
-    return buf.getvalue()
-
-
-def graph_from_text(text: str) -> WeightedGraph:
-    return read_graph(io.StringIO(text))

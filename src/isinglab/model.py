@@ -4,7 +4,9 @@ A model is a WeightedGraph plus the Boltzmann weights it induces:
 log weight(s) = sum_edges beta_uv s_u s_v + sum_v h_v s_v, with clamped
 vertices frozen at their pin.  Exact computations enumerate all 2^n
 configurations and are capped at EXACT_ENUM_CAP vertices; everything else
-in the package is checked against them at that scale.
+in the package is checked against them at that scale.  One bitmask table
+of log weights feeds them all, the dynamics' exact transition matrices
+included.
 """
 
 from __future__ import annotations
@@ -60,40 +62,6 @@ def all_minus(m: IsingModel) -> np.ndarray:
     return s
 
 
-def log_weight(m: IsingModel, s: np.ndarray) -> float:
-    """Unnormalized log probability; -inf when a clamp is violated."""
-    s = np.asarray(s)
-    if s.shape != (m.n,):
-        raise ValueError("configuration has wrong length")
-    if not respects_clamps(m, s):
-        return float("-inf")
-    g = m.graph
-    sf = s.astype(np.float64)
-    # each edge appears twice in CSR, hence the half
-    pair = 0.5 * float(sf @ _csr_matvec(g, sf))
-    return pair + float(g.h @ sf)
-
-
-def _csr_matvec(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(g.n)
-    contrib = g.weights * x[g.indices]
-    np.add.at(out, g.rows(), contrib)
-    return out
-
-
-def local_field(m: IsingModel, s: np.ndarray, v: int) -> float:
-    g = m.graph
-    lo, hi = g.indptr[v], g.indptr[v + 1]
-    return float(g.h[v] + g.weights[lo:hi] @ s[g.indices[lo:hi]].astype(np.float64))
-
-
-def conditional_plus_prob(m: IsingModel, s: np.ndarray, v: int) -> float:
-    """P(s_v = +1 | all other spins), the single-site heat-bath probability."""
-    if m.graph.clamp[v] != 0:
-        raise ConditioningError(f"vertex {v} is clamped")
-    return plus_prob(local_field(m, s, v))
-
-
 def plus_prob(f: float) -> float:
     """P(spin = +1) in effective field f: logistic(2f), stable on both tails."""
     if f >= 0.0:
@@ -119,34 +87,6 @@ class ExactDistribution:
     n: int
     probs: np.ndarray
     log_z: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "log_z": self.log_z,
-            "probs": [float(p) for p in self.probs],
-        }
-
-
-def exact_distribution_from_json(d: dict) -> ExactDistribution:
-    probs = np.asarray(d["probs"], dtype=np.float64)
-    return ExactDistribution(int(d["n"]), probs, d["log_z"])
-
-
-def config_index(s: np.ndarray) -> int:
-    """Bitmask index of a configuration (vertex 0 = least significant bit)."""
-    idx = 0
-    for v in range(len(s)):
-        if s[v] > 0:
-            idx |= 1 << v
-    return idx
-
-
-def index_config(idx: int, n: int) -> np.ndarray:
-    s = np.empty(n, dtype=np.int8)
-    for v in range(n):
-        s[v] = 1 if (idx >> v) & 1 else -1
-    return s
 
 
 def _log_weights_table(m: IsingModel,
@@ -180,14 +120,22 @@ def _log_weights_table(m: IsingModel,
     return logw, ok
 
 
-def exact_distribution(m: IsingModel) -> ExactDistribution:
-    """Brute-force Boltzmann distribution with max-shifted normalization."""
-    logw, ok = _log_weights_table(m)
+def normalize_log_weights(logw: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, float]:
+    """(probabilities, log normalizer) of exp(logw) over the ``ok`` states.
+
+    The weights are shifted by their largest ``ok`` value before the exp,
+    and states outside ``ok`` get exp(-inf) = 0, so none overflows.
+    """
     shift = logw[ok].max()
-    # states outside the event get exp(-inf) = 0, so none overflows
     mass = np.exp(np.where(ok, logw - shift, -np.inf))
     z = mass.sum()
-    return ExactDistribution(m.n, mass / z, float(shift + np.log(z)))
+    return mass / z, float(shift + np.log(z))
+
+
+def exact_distribution(m: IsingModel) -> ExactDistribution:
+    """Brute-force Boltzmann distribution with max-shifted normalization."""
+    probs, log_z = normalize_log_weights(*_log_weights_table(m))
+    return ExactDistribution(m.n, probs, log_z)
 
 
 def merge_conditioning(m: IsingModel, cond: dict[int, int] | None) -> np.ndarray:

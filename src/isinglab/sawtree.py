@@ -294,15 +294,3 @@ def saw_marginal_bracket(m: IsingModel, v: int, depth_limit: int,
     """
     st = build_saw_tree(m.graph, v, depth_limit, max_nodes=max_nodes)
     return boundary_bracket(tree_model(st, m, merge_conditioning(m, cond)), depth_limit)
-
-
-def saw_tree_dump(st: SawTree) -> str:
-    """Indented one-node-per-line rendering for golden-file comparisons."""
-    lines = []
-    marks = {0: "", 1: " pin:+", -1: " pin:-"}
-    on_boundary = np.zeros(st.size, dtype=bool)
-    on_boundary[st.boundary] = True
-    for i in range(st.size):
-        tag = " boundary" if on_boundary[i] else marks[int(st.fixed[i])]
-        lines.append(f"{'  ' * int(st.tree.depth[i])}v{int(st.tree.label[i])}{tag}")
-    return "\n".join(lines) + "\n"

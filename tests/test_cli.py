@@ -298,6 +298,10 @@ def test_exit_codes(tmp_path, capsys):
         ("gw-stats", GW_INI, "d = 2.0", "d = 0"),
         ("gw-stats", GW_INI, "d = 2.0", "d = 31"),
         ("gw-stats", GW_INI, "d = 2.0", "d = nan"),
+        ("gw-stats", GW_INI, "d = 2.0", "d = 2.0\nt = nan"),
+        ("gw-stats", GW_INI, "d = 2.0", "d = 2.0\nt = inf"),
+        ("gw-stats", GW_INI, "d = 2.0", "d = 2.0\nt = 1e6"),
+        ("gw-stats", GW_INI, "d = 2.0\nradii = 3 4\nseeds = 60", "d = 1.01\nradii = 80000\nseeds = 3"),
         ("gw-stats", GW_INI, "seeds = 60", "seeds = 0"),
         ("gw-stats", GW_INI, "seeds = 60", "seeds = -5"),
         ("gw-stats", GW_INI, "radii = 3 4", "radii = -1 3"),

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from isinglab.errors import ConditioningError, SizeError
-from isinglab.graph import graph_from_edges, path_graph, star_graph
+from isinglab.graph import graph_from_edges, path_graph
 from isinglab.model import (
     clamp_large_fields,
-    conditional_plus_prob,
-    config_index,
     exact_conditional_marginal,
     exact_distribution,
-    exact_distribution_from_json,
-    index_config,
-    log_weight,
     make_model,
     merge_conditioning,
+    plus_prob,
     tv_distance,
 )
 from isinglab.rng import substream
@@ -24,16 +20,18 @@ from isinglab.verify import random_connected_model
 
 def test_log_weight_manual():
     g = graph_from_edges(3, [(0, 1, 0.4), (1, 2, 0.9)], h=[0.1, -0.2, 0.3])
-    m = make_model(g)
-    s = np.array([1, -1, 1], dtype=np.int8)
+    dist = exact_distribution(make_model(g))
+
+    def hand(s0, s1, s2):
+        return 0.4 * s0 * s1 + 0.9 * s1 * s2 + 0.1 * s0 - 0.2 * s1 + 0.3 * s2
+
     expect = 0.4 * (1 * -1) + 0.9 * (-1 * 1) + 0.1 * 1 + (-0.2) * -1 + 0.3 * 1
-    assert log_weight(m, s) == pytest.approx(expect, abs=1e-14)
-
-
-def test_log_weight_clamp_violation_is_minus_inf():
-    g = graph_from_edges(2, [(0, 1, 1.0)], clamp=[1, 0])
-    m = make_model(g)
-    assert log_weight(m, np.array([-1, 1], dtype=np.int8)) == -math.inf
+    # s = (+, -, +) is bitmask 0b101
+    assert math.log(dist.probs[0b101]) + dist.log_z == pytest.approx(expect, abs=1e-14)
+    for idx in range(8):
+        s = [1 if (idx >> v) & 1 else -1 for v in range(3)]
+        ratio = math.log(dist.probs[idx] / dist.probs[0b101])
+        assert ratio == pytest.approx(hand(*s) - expect, abs=1e-14)
 
 
 def test_single_edge_exact_distribution():
@@ -83,26 +81,25 @@ def test_conditional_plus_prob_matches_enumeration():
     rng = substream(37, "model-test-cond")
     for _ in range(10):
         m = random_connected_model(rng, min_n=2, max_n=6)
+        g = m.graph
         s = np.where(rng.random(m.n) < 0.5, 1, -1).astype(np.int8)
-        s[m.graph.clamp != 0] = m.graph.clamp[m.graph.clamp != 0]
-        free = m.graph.free_vertices()
+        s[g.clamp != 0] = g.clamp[g.clamp != 0]
+        free = g.free_vertices()
         v = int(free[rng.integers(free.size)])
-        # directly from the conditional definition via two weights
-        sp = s.copy()
-        sp[v] = 1
-        sm = s.copy()
-        sm[v] = -1
-        wp = math.exp(log_weight(m, sp))
-        wm = math.exp(log_weight(m, sm))
-        p = conditional_plus_prob(m, s, v)
+        nbrs, wts = g.neighbors(v)
+        f = float(g.h[v] + wts @ s[nbrs])
+        # the conditional from the two states that differ only at v
+        probs = exact_distribution(m).probs
+        up = sum(1 << u for u in range(m.n) if s[u] > 0 or u == v)
+        down = up & ~(1 << v)
+        p = plus_prob(f)
         assert type(p) is float
-        assert p == pytest.approx(wp / (wp + wm), rel=1e-12)
+        assert p == pytest.approx(probs[up] / (probs[up] + probs[down]), rel=1e-12)
     # a Python float on both branches of the stable logistic
-    g = graph_from_edges(2, [(0, 1, 0.5)])
-    for spin, expect in ((1, 1.0 / (1.0 + math.exp(-1.0))), (-1, 1.0 / (1.0 + math.exp(1.0)))):
-        p = conditional_plus_prob(make_model(g), np.array([-1, spin], dtype=np.int8), 0)
+    for f in (0.5, 0.0, -0.5, -40.0):
+        p = plus_prob(f)
         assert type(p) is float
-        assert p == pytest.approx(expect, rel=1e-12)
+        assert p == pytest.approx(1.0 / (1.0 + math.exp(-2.0 * f)), rel=1e-12)
 
 
 def test_exact_conditional_marginal_consistency():
@@ -125,11 +122,6 @@ def test_merge_conditioning_conflict():
     assert merged.tolist() == [1, -1]
 
 
-def test_config_index_round_trip():
-    for idx in range(16):
-        assert config_index(index_config(idx, 4)) == idx
-
-
 def test_exact_distribution_size_cap():
     m = make_model(path_graph(25, 0.1))
     with pytest.raises(SizeError):
@@ -143,15 +135,6 @@ def test_tv_distance_bounds():
     m2 = make_model(path_graph(3, 1.5))
     d2 = exact_distribution(m2)
     assert 0.0 < tv_distance(d, d2) < 1.0
-
-
-def test_exact_distribution_json_round_trip():
-    m = make_model(star_graph(3, 0.8))
-    d = exact_distribution(m)
-    back = exact_distribution_from_json(d.to_json_dict())
-    assert back.n == d.n
-    assert np.array_equal(back.probs, d.probs)
-    assert back.log_z == d.log_z
 
 
 def test_clamp_large_fields_preserves_conditional_law():

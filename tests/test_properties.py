@@ -9,14 +9,26 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import io  # noqa: E402
 import math  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from isinglab import kernels  # noqa: E402
-from isinglab.dynamics import UpdateStream  # noqa: E402
+from isinglab.dynamics import (  # noqa: E402
+    UpdateStream,
+    build_block_transition_matrix,
+    build_transition_matrix,
+)
 from isinglab.errors import BudgetError  # noqa: E402
-from isinglab.graph import ball, ball_excesses, graph_from_edges, tree_excess  # noqa: E402
+from isinglab.graph import (  # noqa: E402
+    ball,
+    ball_excesses,
+    graph_from_edges,
+    read_graph,
+    tree_excess,
+    write_graph,
+)
 from isinglab.model import exact_conditional_marginal, make_model  # noqa: E402
 from isinglab.sampler import algorithm1_output_law, algorithm1_samples  # noqa: E402
 from isinglab.sawtree import (  # noqa: E402
@@ -59,6 +71,38 @@ def test_count_only_scans_agree_with_built_objects(graph, radius, data):
             saw_tree_size(g, v, radius, max_nodes=NODE_BUDGET)
     else:
         assert saw_tree_size(g, v, radius, max_nodes=NODE_BUDGET) == built
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(edge_lists(), st.data())
+def test_csr_is_symmetric_sorted_and_round_trips_through_text(graph, data):
+    n, edges = graph
+    weights = data.draw(st.lists(st.floats(0.0, 1e3), min_size=len(edges), max_size=len(edges)))
+    h = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=n, max_size=n))
+    g = graph_from_edges(n, [(u, v, w) for (u, v, _), w in zip(edges, weights)], h=h)
+    half = {}
+    for u in range(n):
+        row = g.indices[g.indptr[u]:g.indptr[u + 1]]
+        assert np.all(np.diff(row) > 0)
+        for j in range(g.indptr[u], g.indptr[u + 1]):
+            half[(u, int(g.indices[j]))] = g.weights[j]
+    assert len(half) == g.indices.size
+    # every half-edge has its mirror with the same weight, and the pairs
+    # are exactly the input edges
+    assert all(half[(v, u)] == w for (u, v), w in half.items())
+    assert half == {**{(u, v): w for (u, v, _), w in zip(edges, weights)},
+                    **{(v, u): w for (u, v, _), w in zip(edges, weights)}}
+
+    text = io.StringIO()
+    write_graph(g, text)
+    back = read_graph(io.StringIO(text.getvalue()))
+    for a, b in ((back.indptr, g.indptr), (back.indices, g.indices),
+                 (back.weights, g.weights), (back.h, g.h)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    again = io.StringIO()
+    write_graph(back, again)
+    assert again.getvalue() == text.getvalue()
 
 
 def _reference_expand(g, v, depth_limit, max_nodes):
@@ -235,6 +279,74 @@ def test_reused_trees_match_rebuilt_trees(m, data):
         assert run.spins.tolist() == spins.tolist()
     law = algorithm1_output_law(m, depth)
     assert law.probs.tobytes() == _reference_law(m, depth).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# transition matrices against a spins-matrix reference
+
+
+def _state_spins(m, free):
+    """(2^k, n) array of full configurations, one per free-spin state."""
+    k = free.size
+    states = np.arange(1 << k, dtype=np.int64)
+    s = np.tile(m.graph.clamp.astype(np.float64), (1 << k, 1))
+    for i, v in enumerate(free):
+        s[:, v] = 2.0 * ((states >> i) & 1) - 1.0
+    return s
+
+
+def _dense_couplings(m):
+    g = m.graph
+    w = np.zeros((g.n, g.n))
+    w[g.rows(), g.indices] = g.weights
+    return w
+
+
+def _stationary_slice(m, spins):
+    w = _dense_couplings(m)
+    pair = 0.5 * np.einsum("si,ij,sj->s", spins, w, spins)
+    logw = pair + spins @ m.graph.h
+    logw -= logw.max()
+    mass = np.exp(logw)
+    return mass / mass.sum()
+
+
+def _reference_transition_matrix(m):
+    """(matrix, stationary, reversible) from local fields of every state."""
+    free = m.graph.free_vertices()
+    k = free.size
+    spins = _state_spins(m, free)
+    fields = spins @ _dense_couplings(m) + m.graph.h  # (2^k, n)
+    p_plus = 1.0 / (1.0 + np.exp(-2.0 * fields))
+    size = 1 << k
+    mat = np.zeros((size, size))
+    states = np.arange(size)
+    for i, v in enumerate(free):
+        target = states ^ (1 << i)
+        bit_up = ((states >> i) & 1) == 1
+        flip_prob = np.where(bit_up, 1.0 - p_plus[:, v], p_plus[:, v])
+        mat[states, target] += flip_prob / k
+    mat[states, states] += 1.0 - mat.sum(axis=1)
+    stationary = _stationary_slice(m, spins)
+    flux = stationary[:, None] * mat
+    return mat, stationary, bool(np.abs(flux - flux.T).max() <= 1e-10)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(clamped_models(st.floats(-3.0, 3.0)), st.data())
+def test_transition_matrices_match_spins_matrix_reference(m, data):
+    mat, stationary, reversible = _reference_transition_matrix(m)
+    t = build_transition_matrix(m)
+    assert np.abs(t.matrix - mat).max() <= 1e-12
+    assert np.abs(t.stationary - stationary).max() <= 1e-12
+    assert t.reversible == reversible
+
+    free = m.graph.free_vertices().tolist()
+    labels = data.draw(st.lists(st.integers(0, len(free) - 1),
+                                min_size=len(free), max_size=len(free)))
+    blocks = [[v for v, b in zip(free, labels) if b == j] for j in sorted(set(labels))]
+    tb = build_block_transition_matrix(m, blocks)
+    assert np.abs(tb.stationary - stationary).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,22 @@ from isinglab.sawtree import (
     build_saw_tree,
     saw_marginal,
     saw_marginal_bracket,
-    saw_tree_dump,
     saw_tree_size,
 )
 from isinglab.verify import random_connected_model
+
+
+def saw_tree_dump(st):
+    """Indented one-node-per-line rendering for golden-file comparisons."""
+    lines = []
+    marks = {0: "", 1: " pin:+", -1: " pin:-"}
+    on_boundary = np.zeros(st.size, dtype=bool)
+    on_boundary[st.boundary] = True
+    for i in range(st.size):
+        tag = " boundary" if on_boundary[i] else marks[int(st.fixed[i])]
+        lines.append(f"{'  ' * int(st.tree.depth[i])}v{int(st.tree.label[i])}{tag}")
+    return "\n".join(lines) + "\n"
+
 
 TRIANGLE_DUMP = """\
 v0
