@@ -6,6 +6,12 @@ echoes the config it was produced from as '#' comments, so re-running
 with that config reproduces the data rows byte for byte.  Numbers are
 written with nine significant digits.
 
+Each command declares, once per section, every key it reads with its
+parser, default and domain (the *_KEYS tables).  A section or key the
+command does not declare, a value that does not parse and a value outside
+its key's domain are configuration errors.  A [model] given by file takes
+no generator key and no h, and [sample] takes exactly one of L and r.
+
 Exit codes: 0 success, 1 verification failure, 2 configuration or usage
 error.  The worker count for process-parallel sweeps comes from the
 ISINGLAB_WORKERS environment variable (default and cap: all cores).
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import json
 import math
 import multiprocessing
@@ -42,32 +49,30 @@ from .rng import substream
 from .sampler import algorithm1_samples, radius_for
 from .sawtree import build_saw_tree, tree_model
 from .treecalc import boundary_influence
-from .verify import DEFAULT_MASTER_SEED, er_coupling_run, star_coupling_run
+from .verify import (
+    DEFAULT_MASTER_SEED,
+    at_least,
+    degree_within,
+    er_coupling_run,
+    poisson_mean,
+    star_coupling_run,
+)
 
 
-class ConfigError(Exception):
+class ConfigError(IsinglabError):
     """Bad or missing configuration; maps to exit code 2."""
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer)):  # bool too; a numpy bool prints as 1.0 does
         return str(int(x))
     return f"{float(x):.9g}"
 
 
 def worker_count() -> int:
+    cores = os.cpu_count() or 1
     raw = os.environ.get("ISINGLAB_WORKERS", "").strip()
-    if raw:
-        try:
-            count = int(raw)
-        except ValueError as e:
-            raise ConfigError(f"ISINGLAB_WORKERS must be an integer, got {raw!r}") from e
-        if count < 1:
-            raise ConfigError("ISINGLAB_WORKERS must be >= 1")
-        return min(count, os.cpu_count() or 1)
-    return os.cpu_count() or 1
+    return min(_checked("ISINGLAB_WORKERS", raw, int, at_least(1), {}), cores) if raw else cores
 
 
 # ---------------------------------------------------------------------------
@@ -80,151 +85,216 @@ def load_config(path: str) -> configparser.ConfigParser:
     try:
         with open(path) as f:
             parser.read_file(f)
-    except OSError as e:
+    except (OSError, configparser.Error) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except configparser.Error as e:
-        raise ConfigError(f"cannot parse config {path}: {e}") from e
     return parser
 
 
 def config_echo_lines(cfg: configparser.ConfigParser) -> list[str]:
-    lines = []
-    for section in cfg.sections():
-        for key, value in sorted(cfg.items(section)):
-            lines.append(f"# {section}.{key} = {value}")
-    return lines
+    return [f"# {section}.{key} = {value}"
+            for section in cfg.sections() for key, value in sorted(cfg.items(section))]
 
 
-class Section:
-    """Typed access to one config section with command-scoped errors."""
-
-    def __init__(self, cfg: configparser.ConfigParser, name: str):
-        if not cfg.has_section(name):
-            raise ConfigError(f"config is missing the [{name}] section")
-        self.name = name
-        self._items = dict(cfg.items(name))
-
-    def raw(self, key: str, default: str | None = None) -> str:
-        if key in self._items:
-            return self._items[key].strip()
-        if default is None:
-            raise ConfigError(f"[{self.name}] is missing key {key!r}")
-        return default
-
-    def has(self, key: str) -> bool:
-        return key in self._items
-
-    def get_int(self, key: str, default: int | None = None, minimum: int | None = None) -> int:
-        raw = self.raw(key, None if default is None else str(default))
-        try:
-            value = int(raw)
-        except ValueError as e:
-            raise ConfigError(f"[{self.name}] {key} must be an integer, got {raw!r}") from e
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"[{self.name}] {key} must be >= {minimum}, got {value}")
-        return value
-
-    def get_float(self, key: str, default: float | None = None) -> float:
-        raw = self.raw(key, None if default is None else repr(default))
-        try:
-            return float(raw)
-        except ValueError as e:
-            raise ConfigError(f"[{self.name}] {key} must be a number, got {raw!r}") from e
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.raw(key, "true" if default else "false").lower()
-        if raw in ("1", "true", "yes", "on"):
-            return True
-        if raw in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key} must be a boolean, got {raw!r}")
-
-    def get_ints(self, key: str, default: str | None = None) -> list[int]:
-        raw = self.raw(key, default)
-        try:
-            return [int(tok) for tok in raw.split()]
-        except ValueError as e:
-            raise ConfigError(f"[{self.name}] {key} must be integers, got {raw!r}") from e
-
-    def get_floats(self, key: str, default: str | None = None) -> list[float]:
-        raw = self.raw(key, default)
-        try:
-            return [float(tok) for tok in raw.split()]
-        except ValueError as e:
-            raise ConfigError(f"[{self.name}] {key} must be numbers, got {raw!r}") from e
+# A key table holds key: (parser, default, domain) for every key of a
+# section.  A parser maps the raw text to a value or raises ValueError or
+# KeyError; REQUIRED marks a key without a default.  A domain has the form
+# of verify's: (value, the values of the keys declared before it) -> what
+# the value must be, or None when it is valid.  List items are checked one
+# by one; defaults are not checked.  Where the key set depends on what the
+# section holds, a command passes (a function naming the variant of the
+# section's raw items, the table of each variant): _MODEL, _COUPLING_SCAN
+# and _SAMPLE.
+REQUIRED = object()
 
 
-def model_from_section(sec: Section) -> tuple[WeightedGraph, str]:
-    """Graph from a [model] section: a file path or generator settings."""
-    if sec.has("file"):
-        path = sec.raw("file")
+def _finite(raw) -> float:
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(raw)
+    return x
+
+
+def _bool(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _words(parse):
+    def parse_words(raw: str) -> list:
+        values = [parse(tok) for tok in raw.split()]
+        if not values:
+            raise ValueError(raw)
+        return values
+    return parse_words
+
+
+def _count_or_all(raw: str) -> float:
+    return math.inf if raw == "all" else int(raw)
+
+
+def _fields(raw: str) -> list[float]:
+    """A constant field as [h], or 'uniform lo hi' as the bounds [lo, hi]."""
+    tokens = raw.split()
+    if len(tokens) == 3 and tokens[0] == "uniform":
+        tokens = tokens[1:]
+    elif len(tokens) != 1:
+        raise ValueError(raw)
+    bounds = [_finite(tok) for tok in tokens]
+    _finite(bounds[-1] - bounds[0])  # numpy draws uniform fields over a finite width only
+    return bounds
+
+
+def _number(raw: str) -> int | float:
+    try:
+        return int(raw)
+    except ValueError:
+        return _finite(raw)
+
+
+_INTS, _FLOATS = _words(int), _words(_finite)
+_WHAT = {
+    int: "an integer", _finite: "a finite number", _bool: "a boolean",
+    _INTS: "one or more integers", _FLOATS: "one or more finite numbers",
+    _count_or_all: "a count or 'all'",
+    _fields: "a finite number, or 'uniform lo hi' with a finite hi - lo",
+    _number: "a finite number",
+}
+_MASTER_SEED = (int, DEFAULT_MASTER_SEED, None)
+_GENERATOR = {  # seed draws the er graph, and the fields of h = uniform lo hi
+    "kind": (str, "er", None), "beta": (_finite, 1.0, at_least(0)), "h": (_fields, None, None),
+    "seed": (int, 0, lambda seed, args: None if args["kind"] == "er" or len(args["h"] or ()) == 2
+             else "set only with kind = er or h = uniform lo hi"),
+}
+MODEL_KEYS = {  # [model], and [graph] of graph-gen
+    "er": {"n": (int, REQUIRED, at_least(1)), "d": (_finite, REQUIRED, degree_within("n")),
+           **_GENERATOR},
+    "star": {"leaves": (int, REQUIRED, at_least(1)), **_GENERATOR},
+    "path": {"n": (int, REQUIRED, at_least(1)), **_GENERATOR},
+    "cycle": {"n": (int, REQUIRED, at_least(3)), **_GENERATOR},
+    "file": {"file": (str, REQUIRED, None)},
+}
+_MODEL = (lambda items: "file" if "file" in items else items.get("kind", "er"), MODEL_KEYS)
+_RUNS = {
+    "kind": (str, "er", None), "beta": (_FLOATS, REQUIRED, at_least(0)),
+    "seeds": (int, 20, at_least(1)), "cap": (int, 10_000_000, at_least(1)),
+    "master_seed": _MASTER_SEED,
+}
+COUPLING_SCAN_KEYS = {  # [scan] of coupling-scan
+    "er": {"n": (_INTS, REQUIRED, at_least(1)), "d": (_finite, REQUIRED, degree_within("n")),
+           **_RUNS},
+    "star": {"leaves": (_INTS, REQUIRED, at_least(1)), **_RUNS},
+}
+_COUPLING_SCAN = (lambda items: items.get("kind", "er"), COUPLING_SCAN_KEYS)
+DECAY_SCAN_KEYS = {  # [scan] of decay-scan
+    "radii": (_INTS, list(range(2, 11)), at_least(0)),
+    "vertices": (_count_or_all, 12, at_least(0)),
+    "max_nodes": (int, 10**6, at_least(1)), "master_seed": _MASTER_SEED,
+}
+_DRAWS = {
+    "draws": (int, 1, at_least(1)), "max_nodes": (int, 10**7, at_least(1)),
+    "clamp": (_bool, False, None), "master_seed": _MASTER_SEED,
+}
+SAMPLE_KEYS = {  # [sample]: the radius L, or the radius factor r of radius_for
+    "L": {"L": (int, REQUIRED, at_least(0)), **_DRAWS},
+    "r": {"r": (_finite, REQUIRED, lambda r, args: None if r > 0 else "> 0"), **_DRAWS},
+}
+_SAMPLE = (lambda items: " and ".join(k for k in SAMPLE_KEYS if k in items) or "neither",
+           SAMPLE_KEYS)
+GW_KEYS = {  # [gw]
+    "d": (_finite, 2.0, poisson_mean), "radii": (_INTS, [4, 6, 8], at_least(0)),
+    "seeds": (int, 10000, at_least(1)), "t": (_finite, 1.0, None),
+    "master_seed": _MASTER_SEED,
+}
+
+
+def _checked(where: str, raw: str, parse, domain, args: dict):
+    """raw parsed, and checked against a domain that sees the values in args."""
+    try:
+        value = parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where} must be {_WHAT[parse]}, got {raw!r}") from None
+    for x in value if isinstance(value, list) else [value]:
+        need = domain and domain(x, args)
+        if need:
+            raise ConfigError(f"{where} must be {need}, got {raw!r}")
+    return value
+
+
+def read_section(cfg: configparser.ConfigParser, name: str, table) -> dict:
+    """Values of one section, each parsed and checked against its key table."""
+    if not cfg.has_section(name):
+        raise ConfigError(f"config is missing the [{name}] section")
+    items = {key: value.strip() for key, value in cfg.items(name)}
+    if isinstance(table, tuple):  # (variant of the items, key table of each variant)
+        choose, variants = table
+        table = variants.get(choose(items))
+        if table is None:
+            raise ConfigError(f"[{name}] must give one of {', '.join(variants)}; "
+                              f"it gives {choose(items)}")
+    unknown = sorted(set(items) - set(table))
+    if unknown:
+        raise ConfigError(f"[{name}] accepts no key {', '.join(unknown)}; "
+                          f"it accepts {', '.join(sorted(table))}")
+    values: dict = {}
+    for key, (parse, default, domain) in table.items():
+        if key in items:
+            values[key] = _checked(f"[{name}] {key}", items[key], parse, domain, values)
+        elif default is REQUIRED:
+            raise ConfigError(f"[{name}] is missing key {key!r}")
+        else:
+            values[key] = default
+    return values
+
+
+def read_config(path: str, tables: dict) -> tuple:
+    """(config, values of each section) of a command that reads these sections.
+
+    A section the command does not declare is an error, and so is one it
+    declares but the config leaves out.
+    """
+    cfg = load_config(path)
+    unknown = sorted(set(cfg.sections()) - set(tables))
+    if unknown:
+        raise ConfigError(f"this command reads no section [{'], ['.join(unknown)}]; "
+                          f"it reads [{'], ['.join(tables)}]")
+    return cfg, {name: read_section(cfg, name, table) for name, table in tables.items()}
+
+
+def model_from_section(sec: dict) -> tuple[WeightedGraph, str]:
+    """Graph from read [model] values: a file path or generator settings."""
+    if "file" in sec:
+        path = sec["file"]
         try:
             g = read_graph(path)
-        except OSError as e:
+        except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read graph file {path}: {e}") from e
-        except ValueError as e:
-            raise ConfigError(f"bad graph file {path}: {e}") from e
         return g, f"file:{path}"
-    kind = sec.raw("kind", "er")
-    beta = sec.get_float("beta", 1.0)
-    try:
-        if kind == "er":
-            n = sec.get_int("n")
-            d = sec.get_float("d")
-            seed = sec.get_int("seed", 0)
-            g = generate_erdos_renyi(n, d, seed, beta=beta)
-            tag = f"er:n={n},d={_fmt(d)},seed={seed}"
-        elif kind == "star":
-            leaves = sec.get_int("leaves")
-            g = star_graph(leaves, beta)
-            tag = f"star:leaves={leaves}"
-        elif kind == "path":
-            g = path_graph(sec.get_int("n"), beta)
-            tag = f"path:n={g.n}"
-        elif kind == "cycle":
-            g = cycle_graph(sec.get_int("n"), beta)
-            tag = f"cycle:n={g.n}"
-        else:
-            raise ConfigError(f"unknown model kind {kind!r}")
-    except ValueError as e:
-        raise ConfigError(f"[{sec.name}] {e}") from e
-    if sec.has("h"):
-        raw = sec.raw("h")
-        tokens = raw.split()
-        try:
-            if tokens[:1] == ["uniform"]:
-                if len(tokens) != 3:
-                    raise ConfigError("h = uniform needs two bounds")
-                lo, hi = float(tokens[1]), float(tokens[2])
-                rng = substream(sec.get_int("seed", 0), "graph-fields")
-                h = rng.uniform(lo, hi, size=g.n)
-            elif len(tokens) == 1:
-                h = np.full(g.n, float(tokens[0]))
-            else:
-                raise ConfigError(f"bad h value {raw!r}")
-            g = g.with_vertex_data(h=h)
-        except (ValueError, OverflowError) as e:  # numpy overflows on non-finite bounds
-            raise ConfigError(f"bad h value {raw!r}: {e}") from e
+    kind, beta, h = sec["kind"], sec["beta"], sec["h"]
+    if kind == "er":
+        g = generate_erdos_renyi(sec["n"], sec["d"], sec["seed"], beta=beta)
+        tag = f"er:n={sec['n']},d={_fmt(sec['d'])},seed={sec['seed']}"
+    elif kind == "star":
+        g = star_graph(sec["leaves"], beta)
+        tag = f"star:leaves={sec['leaves']}"
+    else:
+        g = (path_graph if kind == "path" else cycle_graph)(sec["n"], beta)
+        tag = f"{kind}:n={g.n}"
+    if h is not None and len(h) == 1:
+        g = g.with_vertex_data(h=np.full(g.n, h[0]))
+    elif h is not None:
+        g = g.with_vertex_data(h=substream(sec["seed"], "graph-fields").uniform(*h, size=g.n))
     return g, tag
 
 
-def _open_output(path: str | None):
+def _emit(path: str | None, lines: list[str]) -> None:
+    text = "".join(line + "\n" for line in lines)
     if path is None or path == "-":
-        return sys.stdout, False
+        sys.stdout.write(text)
+        return
     try:
-        return open(path, "w"), True
+        with open(path, "w") as out:
+            out.write(text)
     except OSError as e:
         raise ConfigError(f"cannot write output {path}: {e}") from e
-
-
-def _emit(path: str | None, lines: list[str]) -> None:
-    out, close = _open_output(path)
-    try:
-        for line in lines:
-            out.write(line + "\n")
-    finally:
-        if close:
-            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +303,12 @@ def _emit(path: str | None, lines: list[str]) -> None:
 
 def cmd_verify(args) -> int:
     overrides: dict = {}
-    if args.config:
-        cfg = load_config(args.config)
-        if cfg.has_section("verify"):
-            for key, value in cfg.items("verify"):
-                try:
-                    overrides[key] = int(value)
-                except ValueError:
-                    try:
-                        overrides[key] = float(value)
-                    except ValueError:
-                        raise ConfigError(
-                            f"[verify] {key} must be numeric, got {value!r}"
-                        )
     try:
+        keys = set().union(*verify.suite_parameters(args.suite))
+        if args.config:
+            table = {key: (_number, None, None) for key in keys}
+            _, sections = read_config(args.config, {"verify": table})
+            overrides = {k: v for k, v in sections["verify"].items() if v is not None}
         verify.check_overrides(args.suite, overrides)
     except (KeyError, ValueError) as e:
         raise ConfigError(e.args[0]) from e
@@ -268,44 +330,22 @@ def cmd_verify(args) -> int:
 
 
 def _coupling_task(task):
-    kind, n_or_leaves, d, beta, seed, cap, master = task
-    if kind == "star":
-        res = star_coupling_run(n_or_leaves, beta, seed, cap, master)
-        n = n_or_leaves + 1
-        dd = float(n_or_leaves)
-    else:
-        res = er_coupling_run(n_or_leaves, d, beta, seed, cap, master)
-        n = n_or_leaves
-        dd = d
-    return n, dd, beta, seed, res.coupled, res.steps
+    kind, size, d, beta, seed, cap, master = task
+    if kind == "star":  # a hub of degree size among size + 1 vertices
+        res = star_coupling_run(size, beta, seed, cap, master)
+        return size + 1, float(size), beta, seed, res.coupled, res.steps
+    res = er_coupling_run(size, d, beta, seed, cap, master)
+    return size, d, beta, seed, res.coupled, res.steps
 
 
 def cmd_coupling_scan(args) -> int:
-    cfg = load_config(args.config)
-    sec = Section(cfg, "scan")
-    kind = sec.raw("kind", "er")
-    if kind not in ("er", "star"):
-        raise ConfigError(f"scan kind must be er or star, got {kind!r}")
-    size_key = "n" if kind == "er" else "leaves"
-    sizes = sec.get_ints(size_key)
-    if not sizes or min(sizes) < 1:
-        raise ConfigError(
-            f"[scan] {size_key} must be one or more values >= 1, got {sec.raw(size_key)!r}"
-        )
-    betas = sec.get_floats("beta")
-    if not betas or not all(0.0 <= b < math.inf for b in betas):
-        raise ConfigError(f"[scan] beta must be one or more values >= 0, got {sec.raw('beta')!r}")
-    d = sec.get_float("d", 0.0) if kind == "er" else 0.0
-    if kind == "er" and not sec.has("d"):
-        raise ConfigError("[scan] needs d for kind = er")
-    if not 0.0 <= d <= min(sizes):
-        raise ConfigError(f"[scan] d must lie in [0, n] for every n, got {d}")
-    seeds = sec.get_int("seeds", 20, minimum=1)
-    cap = sec.get_int("cap", 10_000_000, minimum=1)
-    master = sec.get_int("master_seed", DEFAULT_MASTER_SEED)
+    cfg, sections = read_config(args.config, {"scan": _COUPLING_SCAN})
+    sec = sections["scan"]
+    kind, d = sec["kind"], sec.get("d", 0.0)
     tasks = sorted(
-        (kind, size, d, beta, seed, cap, master)
-        for size in sizes for beta in betas for seed in range(seeds)
+        (kind, size, d, beta, seed, sec["cap"], sec["master_seed"])
+        for size in sec["n" if kind == "er" else "leaves"]
+        for beta in sec["beta"] for seed in range(sec["seeds"])
     )
     workers = min(worker_count(), len(tasks)) or 1
     if workers > 1:
@@ -324,38 +364,22 @@ def cmd_coupling_scan(args) -> int:
 
 
 def cmd_decay_scan(args) -> int:
-    cfg = load_config(args.config)
-    g, _ = model_from_section(Section(cfg, "model"))
-    sec = Section(cfg, "scan")
-    radii = sec.get_ints("radii", "2 3 4 5 6 7 8 9 10")
-    if any(l < 0 for l in radii):
-        raise ConfigError(f"[scan] radii must be >= 0, got {sec.raw('radii')!r}")
-    max_nodes = sec.get_int("max_nodes", 10**6, minimum=1)
-    master = sec.get_int("master_seed", DEFAULT_MASTER_SEED)
+    cfg, sections = read_config(args.config, {"model": _MODEL, "scan": DECAY_SCAN_KEYS})
+    g, _ = model_from_section(sections["model"])
+    sec = sections["scan"]
     m = make_model(g)
-    beta_max = m.beta_max
-    raw_vertices = sec.raw("vertices", "12")
-    if raw_vertices == "all":
-        vertices = list(range(g.n))
-    else:
-        try:
-            count = int(raw_vertices)
-        except ValueError as e:
-            raise ConfigError("[scan] vertices must be a count or 'all'") from e
-        if count < 0:
-            raise ConfigError(f"[scan] vertices must be >= 0, got {count}")
-        count = min(count, g.n)
-        rng = substream(master, "decay-scan-vertices")
-        vertices = sorted(int(v) for v in rng.choice(g.n, size=count, replace=False))
+    rng = substream(sec["master_seed"], "decay-scan-vertices")
+    size = min(sec["vertices"], g.n)  # vertices = all, or any count >= n, takes every vertex
+    vertices = sorted(int(v) for v in rng.choice(g.n, size=size, replace=False))
     lines = config_echo_lines(cfg)
     lines.append("v,l,influence,sphere_size,bound,status")
     for v in vertices:
-        for l in radii:
+        for l in sec["radii"]:
             try:
-                st = build_saw_tree(g, v, l, max_nodes=max_nodes)
+                st = build_saw_tree(g, v, l, max_nodes=sec["max_nodes"])
                 influence = boundary_influence(tree_model(st, m, g.clamp), l)
                 sphere = int(st.boundary.size)
-                bound = sphere * math.tanh(beta_max) ** l
+                bound = sphere * math.tanh(m.beta_max) ** l
                 lines.append(
                     f"{v},{l},{_fmt(influence)},{sphere},{_fmt(bound)},ok"
                 )
@@ -366,30 +390,19 @@ def cmd_decay_scan(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = load_config(args.config)
-    g, model_tag = model_from_section(Section(cfg, "model"))
-    sec = Section(cfg, "sample")
+    cfg, sections = read_config(args.config, {"model": _MODEL, "sample": _SAMPLE})
+    g, model_tag = model_from_section(sections["model"])
+    sec = sections["sample"]
+    clamped, master = sec["clamp"], sec["master_seed"]
     m = make_model(g)
-    clamped = sec.get_bool("clamp", False)
     if clamped:
         m = clamp_large_fields(m)
     if m.graph.free_vertices().size == 0:
         raise ConfigError("every vertex is clamped; there is nothing to sample")
-    if sec.has("L"):
-        depth = sec.get_int("L", minimum=0)
-    elif sec.has("r"):
-        try:
-            depth = radius_for(m.n, sec.get_float("r"))
-        except ValueError as e:
-            raise ConfigError(f"[sample] r: {e}") from e
-    else:
-        raise ConfigError("[sample] needs L (radius) or r (radius factor)")
-    draws = sec.get_int("draws", 1, minimum=1)
-    master = sec.get_int("master_seed", DEFAULT_MASTER_SEED)
-    max_nodes = sec.get_int("max_nodes", 10**7, minimum=1)
-    streams = [UpdateStream(m, master, chain_id=k) for k in range(draws)]
+    depth = sec["L"] if "L" in sec else radius_for(m.n, sec["r"])
+    streams = [UpdateStream(m, master, chain_id=k) for k in range(sec["draws"])]
     try:
-        runs = algorithm1_samples(m, depth, streams, max_nodes=max_nodes)
+        runs = algorithm1_samples(m, depth, streams, max_nodes=sec["max_nodes"])
     except IsinglabError as e:
         # the walk trees do not depend on the draw, so draw 0 fails first
         print(f"sampling draw 0 failed: {e}", file=sys.stderr)
@@ -406,40 +419,24 @@ def cmd_sample(args) -> int:
 
 
 def cmd_graph_gen(args) -> int:
-    cfg = load_config(args.config)
-    g, tag = model_from_section(Section(cfg, "graph"))
-    out, close = _open_output(args.output)
-    try:
-        comment = "\n".join(
-            [f"generated {tag}"] + [l[2:] for l in config_echo_lines(cfg)]
-        )
-        write_graph(g, out, comment=comment)
-    finally:
-        if close:
-            out.close()
+    cfg, sections = read_config(args.config, {"graph": _MODEL})
+    g, tag = model_from_section(sections["graph"])
+    out = io.StringIO()
+    comment = "\n".join([f"generated {tag}"] + [l[2:] for l in config_echo_lines(cfg)])
+    write_graph(g, out, comment=comment)
+    _emit(args.output, out.getvalue().splitlines())
     return 0
 
 
 def cmd_gw_stats(args) -> int:
-    cfg = load_config(args.config)
-    sec = Section(cfg, "gw")
-    d = sec.get_float("d", 2.0)
-    radii = sec.get_ints("radii", "4 6 8")
-    if not radii or min(radii) < 0:
-        raise ConfigError(f"[gw] radii must be one or more values >= 0, got {sec.raw('radii')!r}")
-    seeds = sec.get_int("seeds", 10000, minimum=1)
-    t_scale = sec.get_float("t", 1.0)
-    if not math.isfinite(t_scale):
-        raise ConfigError(f"[gw] t must be finite, got {sec.raw('t')!r}")
-    master = sec.get_int("master_seed", DEFAULT_MASTER_SEED)
+    cfg, sections = read_config(args.config, {"gw": GW_KEYS})
+    d, radii, seeds, t_scale, master = (
+        sections["gw"][key] for key in ("d", "radii", "seeds", "t", "master_seed"))
     depth = max(radii)
     spheres = {r: np.empty(seeds) for r in radii}
     densities = np.empty(seeds, dtype=np.int64)
     for k in range(seeds):
-        try:
-            tree = generate_galton_watson(d, depth, master + k)
-        except ValueError as e:
-            raise ConfigError(f"[gw] d: {e}") from e
+        tree = generate_galton_watson(d, depth, master + k)
         for r in radii:
             spheres[r][k] = np.count_nonzero(tree.depth == r)
         densities[k] = tree_path_density(tree)
@@ -484,42 +481,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", "--verbose", action="store_true", help="print every check row")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("coupling-scan", help="coupled-run sweep over (n, beta, seed)")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("-o", "--output", help="CSV path (default stdout)")
-    p.set_defaults(fn=cmd_coupling_scan)
-
-    p = sub.add_parser("decay-scan", help="walk-tree boundary influence vs radius")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("-o", "--output", help="CSV path (default stdout)")
-    p.set_defaults(fn=cmd_decay_scan)
-
-    p = sub.add_parser("sample", help="draw configurations by sequential walk-tree sampling")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("-o", "--output", help="JSON path (default stdout)")
-    p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("graph-gen", help="generate a graph file from config settings")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("-o", "--output", help="graph file path (default stdout)")
-    p.set_defaults(fn=cmd_graph_gen)
-
-    p = sub.add_parser("gw-stats", help="branching-tree growth statistics")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("-o", "--output", help="CSV path (default stdout)")
-    p.set_defaults(fn=cmd_gw_stats)
+    for name, fn, what, output in [
+        ("coupling-scan", cmd_coupling_scan, "coupled-run sweep over (n, beta, seed)", "CSV"),
+        ("decay-scan", cmd_decay_scan, "walk-tree boundary influence vs radius", "CSV"),
+        ("sample", cmd_sample, "draw configurations by sequential walk-tree sampling", "JSON"),
+        ("graph-gen", cmd_graph_gen, "generate a graph file from config settings", "graph file"),
+        ("gw-stats", cmd_gw_stats, "branching-tree growth statistics", "CSV"),
+    ]:
+        p = sub.add_parser(name, help=what)
+        p.add_argument("-c", "--config", required=True)
+        p.add_argument("-o", "--output", help=f"{output} path (default stdout)")
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except IsinglabError as e:
+    except IsinglabError as e:  # ConfigError included
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -212,6 +212,8 @@ def _free_state_law(m: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     """
     if m.n > MATRIX_VERTEX_CAP:
         raise SizeError(f"transition matrix capped at {MATRIX_VERTEX_CAP} vertices")
+    if m.graph.free_vertices().size == 0:
+        raise ValueError("model has no free vertices")
     logw, ok = _log_weights_table(m)
     probs, _ = normalize_log_weights(logw, ok)
     return logw[ok], probs[ok]
@@ -229,8 +231,6 @@ def build_transition_matrix(m: IsingModel) -> TransitionMatrix:
     logw, stationary = _free_state_law(m)
     free = m.graph.free_vertices()
     k = free.size
-    if k == 0:
-        raise ValueError("model has no free vertices")
     size = 1 << k
     mat = np.zeros((size, size))
     states = np.arange(size)

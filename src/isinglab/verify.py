@@ -720,17 +720,27 @@ SUITES: dict[str, list] = {
 }
 
 
-def _at_least(lo: int | float):
+def at_least(lo: int | float):
     return lambda x, args: None if x >= lo else f">= {lo}"
+
+
+def poisson_mean(x: float, args: dict) -> str | None:  # where Poisson inversion is exact
+    return None if 0 < x <= POISSON_MEAN_CAP else f"in (0, {POISSON_MEAN_CAP:g}]"
+
+
+def degree_within(key: str):
+    """Domain of an Erdos-Renyi mean degree: in [0, n] for each n in args[key]."""
+    def need(x: float, args: dict) -> str | None:
+        hi = min(args[key]) if isinstance(args[key], (list, tuple)) else args[key]
+        return None if 0 <= x <= hi else f"in [0, {hi}]"
+    return need
 
 
 def _mean_degree(x: float, args: dict) -> str | None:
     if "sizes" in args:  # Erdos-Renyi graphs on each of the sizes
-        hi = min(args["sizes"])
-        return None if 0 <= x <= hi else f"in [0, {hi}]"
+        return degree_within("sizes")(x, args)
     # Erdos-Renyi graphs on n vertices and Poisson(d) branching trees
-    hi = min(args["n"], POISSON_MEAN_CAP)
-    return None if 0 < x <= hi else f"in (0, {hi:g}]"
+    return poisson_mean(x, args) or degree_within("n")(x, args)
 
 
 # Domain of each suite parameter, by name: a function of the value and the
@@ -739,18 +749,24 @@ def _mean_degree(x: float, args: dict) -> str | None:
 # takes it.  Instance counts start at 1, because a run with no instance
 # reads as a failed check; means follow the generators' own domains.
 _DOMAINS = {
-    **{key: _at_least(1) for key in (
+    **{key: at_least(1) for key in (
         "models", "trees", "draws", "seeds", "graphs", "max_len", "cap", "n",
         "min_runs", "max_runs", "sphere_trees")},
-    **{key: _at_least(2) for key in ("max_n", "max_depth")},
-    **{key: _at_least(0) for key in (
+    **{key: at_least(2) for key in ("max_n", "max_depth")},
+    **{key: at_least(0) for key in (
         "removals", "random_models", "trunc_depth", "min_steps", "excess_bound",
         "radius", "tol", "exact_tol", "beta")},
-    "offspring": lambda x, args: (
-        None if 0 < x <= POISSON_MEAN_CAP else f"in (0, {POISSON_MEAN_CAP:g}]"),
+    "offspring": poisson_mean,
     "d": _mean_degree,
     "sample_vertices": lambda x, args: None if 1 <= x <= args["n"] else "in [1, n]",
 }
+
+
+def suite_parameters(name: str) -> list:
+    """Parameters of each part of a named suite; KeyError for an unknown name."""
+    if name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    return [inspect.signature(fn).parameters for fn in SUITES[name]]
 
 
 def check_overrides(name: str, overrides: dict) -> None:
@@ -760,9 +776,7 @@ def check_overrides(name: str, overrides: dict) -> None:
     of the wrong type (an int where the default is an int, a finite number
     where it is a float, a list where it is a tuple) or outside its domain.
     """
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    params = [inspect.signature(fn).parameters for fn in SUITES[name]]
+    params = suite_parameters(name)
     accepted = sorted(set().union(*params))
     unknown = sorted(set(overrides) - set(accepted))
     if unknown:
@@ -792,7 +806,7 @@ def run_suite(name: str, overrides: dict | None = None) -> list[SuiteReport]:
     """Run one named suite, with optional keyword overrides for its parts."""
     overrides = overrides or {}
     check_overrides(name, overrides)
-    params = [inspect.signature(fn).parameters for fn in SUITES[name]]
+    params = suite_parameters(name)
     return [fn(**{k: v for k, v in overrides.items() if k in p})
             for fn, p in zip(SUITES[name], params)]
 

@@ -8,8 +8,6 @@ import hashlib
 import json
 import os
 
-import pytest
-
 from isinglab.cli import main, worker_count
 from isinglab.graph import read_graph
 
@@ -55,6 +53,15 @@ d = 2.0
 beta = 0.6
 seed = 5
 h = uniform -0.5 0.5
+"""
+
+STAR_INI = """\
+[scan]
+kind = star
+leaves = 3
+beta = 0.2
+seeds = 2
+cap = 5000
 """
 
 GW_INI = """\
@@ -325,6 +332,35 @@ def test_exit_codes(tmp_path, capsys):
         assert run([command, "-c", cfg, "-o", "/dev/null"]) == 2, new
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, new
+    # a key or section the command does not declare is an error, never
+    # dropped: each of these configs once ran on the parameters left over
+    graph = tmp_path / "g.graph"
+    assert run(["graph-gen", "-c", write(tmp_path, "gen.ini", GEN_INI), "-o", str(graph)]) == 0
+    file_ini = f"[model]\nfile = {graph}\n\n[sample]\nL = 3\n"
+    for command, ini, old, new, culprit in [
+        ("sample", SAMPLE_INI, "draws = 2", "draw = 50", "draw"),
+        ("sample", SAMPLE_INI, "beta = 0.4", "bta = 7", "bta"),
+        ("sample", file_ini, "\n\n[sample]", "\nbeta = 9\n\n[sample]", "beta"),
+        ("sample", file_ini, "\n\n[sample]", "\nh = 3\n\n[sample]", "h"),
+        ("sample", file_ini, "\n\n[sample]", "\nkind = blob\n\n[sample]", "kind"),
+        ("coupling-scan", STAR_INI, "leaves = 3", "leaves = 3\nd = 999", "d"),
+        ("coupling-scan", STAR_INI, "leaves = 3", "leaves = 3\nn = 0", "n"),
+        ("coupling-scan", STAR_INI, "cap = 5000", "cap = 5000\n\n[extra]\nd = 999", "[extra]"),
+        ("sample", SAMPLE_INI, "L = 8", "L = 3\nr = nan", "L and r"),
+        ("gw-stats", GW_INI, "seeds = 60", "seeds = 60\nseed = 9", "seed"),
+        ("sample", SAMPLE_INI, "beta = 0.4", "beta = 0.4\nseed = 4", "seed"),
+    ]:
+        cfg = write(tmp_path, "undeclared.ini", ini.replace(old, new))
+        assert run([command, "-c", cfg, "-o", "/dev/null"]) == 2, new
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, new
+        assert culprit in err, (new, err)
+    # the star scan itself is valid, and its leaves are checked
+    cfg = write(tmp_path, "star.ini", STAR_INI)
+    assert run(["coupling-scan", "-c", cfg, "-o", "/dev/null"]) == 0
+    cfg = write(tmp_path, "star.ini", STAR_INI.replace("leaves = 3", "leaves = 0"))
+    assert run(["coupling-scan", "-c", cfg, "-o", "/dev/null"]) == 2
+    assert "leaves" in capsys.readouterr().err
     # every field is past the clamping threshold, so no vertex is left free
     all_clamped = SAMPLE_INI.replace("n = 7\nbeta = 0.4", "n = 4\nbeta = 0.4\nh = 100")
     cfg = write(tmp_path, "clamped.ini", all_clamped.replace("draws = 2", "draws = 2\nclamp = true"))

@@ -149,6 +149,16 @@ def test_singleton_blocks_equal_single_site_matrix():
         assert np.abs(t1.matrix - t2.matrix).max() <= 1e-12
 
 
+def test_matrices_of_a_model_without_free_vertices_raise():
+    m = make_model(path_graph(3).with_vertex_data(clamp=[1, -1, 1]))
+    with pytest.raises(ValueError, match="no free vertices"):
+        build_transition_matrix(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no free vertices"):
+            build_block_transition_matrix(m, [])
+
+
 def test_block_matrix_mixes_faster_than_single_site():
     m = make_model(path_graph(6, 0.8))
     t1 = build_transition_matrix(m)

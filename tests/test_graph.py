@@ -6,7 +6,6 @@ import pytest
 
 from isinglab.errors import BudgetError
 from isinglab.graph import (
-    Ball,
     ball,
     ball_excesses,
     cycle_graph,

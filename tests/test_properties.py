@@ -29,7 +29,13 @@ from isinglab.graph import (  # noqa: E402
     tree_excess,
     write_graph,
 )
-from isinglab.model import exact_conditional_marginal, make_model  # noqa: E402
+from isinglab.model import (  # noqa: E402
+    all_minus,
+    all_plus,
+    exact_conditional_marginal,
+    make_model,
+    respects_clamps,
+)
 from isinglab.sampler import algorithm1_output_law, algorithm1_samples  # noqa: E402
 from isinglab.sawtree import (  # noqa: E402
     CHUNK_NODES,
@@ -549,6 +555,27 @@ def test_coupled_kernel_writes_back_on_violation():
     assert got == want == (2, -1, 0)
     assert got_up.tolist() == want_up.tolist() == [-1, 1]
     assert got_lo.tolist() == want_lo.tolist() == [1, -1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(clamped_models(), st.integers(0, 2**31),
+       st.lists(st.integers(1, 200), min_size=1, max_size=4))
+def test_coupled_chains_keep_the_monotone_order(m, seed, blocks):
+    # the order coupled_steps claims for ferromagnetic couplings, with fields
+    # and pins, from the clamp-respecting extremes over one update stream
+    upper, lower = all_plus(m), all_minus(m)
+    indptr, indices, weights = m.graph.csr_lists
+    h = m.graph.h.tolist()
+    stream = UpdateStream(m, seed)
+    ham = int(np.count_nonzero(upper != lower))
+    for count in blocks:
+        vs, us = stream.next_updates(count)
+        ham, _, violation = kernels.coupled_steps(indptr, indices, weights, h, upper, lower,
+                                                  vs, us, ham)
+        assert violation == -1
+        assert np.all(upper >= lower)
+        assert ham == np.count_nonzero(upper != lower)
+        assert respects_clamps(m, upper) and respects_clamps(m, lower)
 
 
 # tanh(40) rounds to 1, so strong edges into +-800 fields reach the atanh clamp

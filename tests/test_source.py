@@ -3,7 +3,7 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "isinglab"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -27,10 +27,18 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-def test_src_has_no_unused_imports():
+def _files_with_unused_imports(directory: Path) -> dict[str, list[str]]:
     found = {}
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
         if unused:
             found[path.name] = unused
-    assert found == {}
+    return found
+
+
+def test_src_has_no_unused_imports():
+    assert _files_with_unused_imports(ROOT / "src" / "isinglab") == {}
+
+
+def test_tests_have_no_unused_imports():
+    assert _files_with_unused_imports(ROOT / "tests") == {}
