@@ -36,7 +36,7 @@ MATRIX_VERTEX_CAP = 10
 TV_THRESHOLD = 1.0 / (2.0 * math.e)
 BLOCK_SIZE_CAP = 20
 _STEP_BLOCK = 1 << 16
-_POST_COUPLING_AUDIT = 1024
+POST_COUPLING_AUDIT = 1024  # updates run on after the chains meet
 
 
 class UpdateStream:
@@ -113,17 +113,20 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream,
                          checkpoints: list[int] | None = None) -> CouplingResult:
     """Run the all-up and all-down chains on one stream until they meet.
 
-    Every update asserts the order at the rewritten site; every checkpoint
-    audits the full coordinatewise order and records the Hamming distance.
-    After the chains meet, a short continuation asserts they never split.
-    Raises MonotonicityError when the order breaks (it cannot, for
-    cooperative couplings).
+    Pairs are drawn in blocks that end at the next checkpoint or after
+    2^16 pairs.  Every update asserts the order at the rewritten site, and
+    the kernel returns at the update where the chains meet, so the rest of
+    that block is drawn but never applied.  Every checkpoint audits the
+    full coordinatewise order and records the Hamming distance.  After the
+    chains meet, the next POST_COUPLING_AUDIT pairs are applied to both
+    and must leave them equal.  Raises MonotonicityError when the order
+    breaks (it cannot, for cooperative couplings).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     upper = all_plus(m)
     lower = all_minus(m)
-    indptr, indices, weights = m.graph.csr_lists
+    adjacency = m.graph.adjacency
     h = m.graph.h.tolist()
     ham = int(np.count_nonzero(upper != lower))
     if checkpoints is None:
@@ -138,7 +141,7 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream,
         k = min(_STEP_BLOCK, horizon - done)
         vs, us = stream.next_updates(k)
         ham, coupled_at, violation = kernels.coupled_steps(
-            indptr, indices, weights, h, upper, lower, vs, us, ham,
+            adjacency, h, upper, lower, ham, vs, us,
         )
         if violation >= 0:
             raise MonotonicityError(
@@ -153,10 +156,8 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream,
             recorded.append((done, int(ham)))
             mark_i += 1
     if met_at >= 0:
-        vs, us = stream.next_updates(_POST_COUPLING_AUDIT)
-        ham2, _, violation = kernels.coupled_steps(
-            indptr, indices, weights, h, upper, lower, vs, us, 0,
-        )
+        vs, us = stream.next_updates(POST_COUPLING_AUDIT)
+        ham2, _, violation = kernels.coupled_steps(adjacency, h, upper, lower, 0, vs, us)
         if violation >= 0 or ham2 != 0:
             raise MonotonicityError("met chains split during post-meeting audit")
         return CouplingResult(True, met_at, cap, recorded)

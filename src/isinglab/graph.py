@@ -52,6 +52,18 @@ class WeightedGraph:
         """
         return self.indptr.tolist(), self.indices.tolist(), self.weights.tolist()
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """``adjacency[v]``: v's (neighbour, coupling) pairs, built on first use.
+
+        One tuple per vertex lets a Python loop walk a neighbourhood without
+        indexing three lists; the pairs keep the CSR order, so sums over
+        them add the same terms in the same order as sums over the CSR rows.
+        """
+        indptr, indices, weights = self.csr_lists
+        pairs = list(zip(indices, weights))
+        return tuple(tuple(pairs[indptr[v]:indptr[v + 1]]) for v in range(self.n))
+
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 

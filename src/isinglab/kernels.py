@@ -4,9 +4,12 @@ A Python loop reads list items and memoryview items as plain ints and
 floats, while indexing a numpy array boxes a numpy scalar on every read.
 So each kernel copies the state it rewrites into a list once per call,
 walks its read-only arrays through memoryviews, and writes the state
-back before it returns.  The CSR arrays and fields may be passed as
-lists (``WeightedGraph.csr_lists`` and ``h.tolist()``, the fast path) or
-as numpy arrays.  Float and int arithmetic on the same doubles gives the
+back before it returns.  The chain kernel reads the CSR arrays, passed
+as lists (``WeightedGraph.csr_lists``, the fast path) or as numpy
+arrays; the coupled kernel reads the per-vertex (neighbour, coupling)
+tuples of ``WeightedGraph.adjacency``, in the same CSR order, and stops
+at the update where its two chains meet.  Fields may be ``h.tolist()``
+or an array.  Float and int arithmetic on the same doubles gives the
 same bits either way, and every kernel keeps ``math.exp``/``tanh``/
 ``atanh`` in a fixed order of operations, so results do not depend on
 the container.
@@ -15,6 +18,7 @@ the container.
 from __future__ import annotations
 
 import math
+from itertools import count
 
 # perfbench/ records the backend of every run; pure Python is the only one
 HAVE_NUMBA = False
@@ -47,27 +51,30 @@ def chain_steps(indptr, indices, weights, h, spins, v_arr, u_arr):
     return 0
 
 
-def coupled_steps(indptr, indices, weights, h, upper, lower, v_arr, u_arr, ham_start):
-    """Advance two chains through the same (site, uniform) stream.
+def coupled_steps(adjacency, h, upper, lower, ham_start, v_arr, u_arr):
+    """Advance two chains through the same (site, uniform) stream until they meet.
 
     Both chains update the same site with the same uniform, which preserves
     the coordinatewise order upper >= lower for ferromagnetic couplings.
-    Returns (hamming distance at exit, in-block index of first agreement,
-    in-block index of an order violation at the updated site); the last two
-    are -1 when the event did not occur.  The walk stops early on an order
-    violation, never on agreement; upper and lower hold the state at exit
-    on both paths.
+    ``adjacency[v]`` holds v's (neighbour, coupling) pairs
+    (``WeightedGraph.adjacency``) and ``ham_start`` is the Hamming distance
+    between the chains on entry.  The walk stops early at the update where
+    the distance falls to 0 and at an order violation at the updated site;
+    otherwise it applies every pair.  A call that starts at distance 0
+    never falls to it, so it runs its whole block.  Returns (Hamming
+    distance at exit, in-block index of the update where the chains met,
+    in-block index of the order violation); the last two are -1 when the
+    event did not occur.  upper and lower hold the state at exit on every
+    path.  Equal local fields give equal spins, so the second logistic is
+    computed only when the chains' fields differ.
     """
     exp = math.exp
     up = upper.tolist()
     lo = lower.tolist()
     ham = ham_start
-    coupled_at = -1
-    for t, (v, u) in enumerate(zip(memoryview(v_arr), memoryview(u_arr))):
+    for t, v, u in zip(count(), memoryview(v_arr), memoryview(u_arr)):
         fu = fl = h[v]
-        for j in range(indptr[v], indptr[v + 1]):
-            s = indices[j]
-            w = weights[j]
+        for s, w in adjacency[v]:
             fu += w * up[s]
             fl += w * lo[s]
         if fu >= 0.0:
@@ -75,30 +82,35 @@ def coupled_steps(indptr, indices, weights, h, upper, lower, v_arr, u_arr, ham_s
         else:
             e = exp(2.0 * fu)
             pu = e / (1.0 + e)
-        if fl >= 0.0:
-            pl = 1.0 / (1.0 + exp(-2.0 * fl))
-        else:
-            e = exp(2.0 * fl)
-            pl = e / (1.0 + e)
-        was_diff = up[v] != lo[v]
         nu = 1 if u <= pu else -1
-        nl = 1 if u <= pl else -1
+        if fl == fu:
+            nl = nu
+        else:
+            if fl >= 0.0:
+                pl = 1.0 / (1.0 + exp(-2.0 * fl))
+            else:
+                e = exp(2.0 * fl)
+                pl = e / (1.0 + e)
+            nl = 1 if u <= pl else -1
+        was_diff = up[v] != lo[v]
         up[v] = nu
         lo[v] = nl
         if nu != nl:
             if not was_diff:
                 ham += 1
+            if nu < nl:
+                upper[:] = up
+                lower[:] = lo
+                return ham, -1, t
         elif was_diff:
             ham -= 1
-        if nu < nl:
-            upper[:] = up
-            lower[:] = lo
-            return ham, coupled_at, t
-        if ham == 0 and coupled_at < 0:
-            coupled_at = t
+            if ham == 0:
+                upper[:] = up
+                lower[:] = lo
+                return 0, t, -1
     upper[:] = up
     lower[:] = lo
-    return ham, coupled_at, -1
+    return ham, -1, -1
 
 
 def tree_root_field(parent, edge_beta, h_node, clamp_node):

@@ -150,4 +150,7 @@ def radius_for(n: int, factor: float) -> int:
         raise ValueError("n must be >= 1")
     if not 0.0 < factor < math.inf:
         raise ValueError(f"radius factor must be finite and > 0, got {factor}")
-    return max(1, math.ceil(factor * math.log(max(n, 2))))
+    radius = factor * math.log(max(n, 2))
+    if radius == math.inf:
+        raise SizeError(f"radius factor {factor} times log n overflows")
+    return max(1, math.ceil(radius))

@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import (
+    POST_COUPLING_AUDIT,
     UpdateStream,
     build_block_transition_matrix,
     build_transition_matrix,
@@ -567,7 +568,7 @@ def coupling_soundness_suite(min_runs: int = 100, min_steps: int = 10**6,
             res = monotone_coupled_run(m, cap, stream)
             ok = True
             note = f"coupled={res.coupled},steps={res.steps}"
-            audited += res.steps + (1024 if res.coupled else 0)
+            audited += res.steps + (POST_COUPLING_AUDIT if res.coupled else 0)
         except MonotonicityError as e:
             ok = False
             note = str(e)

@@ -301,6 +301,7 @@ def test_exit_codes(tmp_path, capsys):
         ("sample", SAMPLE_INI, "L = 8", "r = nan"),
         ("sample", SAMPLE_INI, "L = 8", "r = inf"),
         ("sample", SAMPLE_INI, "L = 8", "r = -2"),
+        ("sample", SAMPLE_INI, "L = 8", "r = 1e308"),  # r * log n overflows
         ("sample", SAMPLE_INI, "beta = 0.4", "beta = 0.4\nh = nan"),
         ("gw-stats", GW_INI, "d = 2.0", "d = 0"),
         ("gw-stats", GW_INI, "d = 2.0", "d = 31"),

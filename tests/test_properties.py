@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import io  # noqa: E402
 import math  # noqa: E402
+from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -24,7 +25,9 @@ from isinglab.errors import BudgetError  # noqa: E402
 from isinglab.graph import (  # noqa: E402
     ball,
     ball_excesses,
+    generate_erdos_renyi,
     graph_from_edges,
+    path_graph,
     read_graph,
     tree_excess,
     write_graph,
@@ -408,9 +411,8 @@ def _ref_chain_steps_counted(indptr, indices, weights, h, spins, v_arr, u_arr, t
             since = 0
 
 
-def _ref_coupled_steps(indptr, indices, weights, h, upper, lower, v_arr, u_arr, ham_start):
+def _ref_coupled_steps(indptr, indices, weights, h, upper, lower, ham_start, v_arr, u_arr):
     ham = ham_start
-    coupled_at = -1
     for t in range(v_arr.shape[0]):
         v = v_arr[t]
         fu = h[v]
@@ -448,11 +450,11 @@ def _ref_coupled_steps(indptr, indices, weights, h, upper, lower, v_arr, u_arr, 
         else:
             if was_diff:
                 ham -= 1
+                if ham == 0:
+                    return ham, t, -1
         if nu < nl:
-            return ham, coupled_at, t
-        if ham == 0 and coupled_at < 0:
-            coupled_at = t
-    return ham, coupled_at, -1
+            return ham, -1, t
+    return ham, -1, -1
 
 
 def _ref_tree_root_field(parent, edge_beta, h_node, clamp_node):
@@ -482,8 +484,8 @@ spin = st.sampled_from([-1, 1])
 
 
 @st.composite
-def signed_csr(draw):
-    """CSR arrays of a graph on <= 8 vertices whose couplings may be negative.
+def signed_graphs(draw):
+    """A graph on <= 8 vertices whose couplings may be negative.
 
     Negative couplings break the monotone order, so the coupled kernel
     takes its early violation return on some draws.
@@ -497,13 +499,13 @@ def signed_csr(draw):
     g = graph_from_edges(n, [(u, v, abs(w)) for (u, v), w in edges.items()], h=h)
     sign = [math.copysign(1.0, edges[min(a, b), max(a, b)])
             for a, b in zip(g.rows().tolist(), g.indices.tolist())]
-    return g.indptr, g.indices, g.weights * np.array(sign), g.h
+    return replace(g, weights=g.weights * np.array(sign))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(signed_csr(), st.data())
-def test_list_kernels_match_numpy_reference(csr, data):
-    indptr, indices, weights, h = csr
+@given(signed_graphs(), st.data())
+def test_list_kernels_match_numpy_reference(g, data):
+    indptr, indices, weights, h = g.indptr, g.indices, g.weights, g.h
     n = h.shape[0]
     # a site is a uniform scaled to n, as UpdateStream draws it
     pairs = data.draw(st.lists(st.tuples(unit, unit), max_size=40))
@@ -530,8 +532,8 @@ def test_list_kernels_match_numpy_reference(csr, data):
     upper, lower = np.maximum(a, b), np.minimum(a, b)
     ham = int(np.count_nonzero(upper != lower))
     got_up, got_lo, want_up, want_lo = upper.copy(), lower.copy(), upper.copy(), lower.copy()
-    got = kernels.coupled_steps(*lists, got_up, got_lo, v_arr, u_arr, ham)
-    want = _ref_coupled_steps(indptr, indices, weights, h, want_up, want_lo, v_arr, u_arr, ham)
+    got = kernels.coupled_steps(g.adjacency, h.tolist(), got_up, got_lo, ham, v_arr, u_arr)
+    want = _ref_coupled_steps(indptr, indices, weights, h, want_up, want_lo, ham, v_arr, u_arr)
     assert got == want
     assert got_up.tolist() == want_up.tolist()
     assert got_lo.tolist() == want_lo.tolist()
@@ -549,12 +551,51 @@ def test_coupled_kernel_writes_back_on_violation():
     u_arr = np.array([0.5, 0.5])
     got_up, got_lo = np.ones(2, dtype=np.int8), -np.ones(2, dtype=np.int8)
     want_up, want_lo = got_up.copy(), got_lo.copy()
-    got = kernels.coupled_steps(indptr.tolist(), indices.tolist(), weights.tolist(), h.tolist(),
-                                got_up, got_lo, v_arr, u_arr, 2)
-    want = _ref_coupled_steps(indptr, indices, weights, h, want_up, want_lo, v_arr, u_arr, 2)
+    adjacency = (((1, -1.0),), ((0, -1.0),))
+    got = kernels.coupled_steps(adjacency, h.tolist(), got_up, got_lo, 2, v_arr, u_arr)
+    want = _ref_coupled_steps(indptr, indices, weights, h, want_up, want_lo, 2, v_arr, u_arr)
     assert got == want == (2, -1, 0)
     assert got_up.tolist() == want_up.tolist() == [-1, 1]
     assert got_lo.tolist() == want_lo.tolist() == [1, -1]
+
+
+def test_coupled_kernel_runs_a_block_from_equal_states_in_full():
+    # the post-meeting audit's call: from distance 0 the distance never
+    # falls to 0, so every pair is applied, as the single chain applies it
+    m = make_model(generate_erdos_renyi(40, 2.0, 7, beta=0.4))
+    indptr, indices, weights = m.graph.csr_lists
+    h = m.graph.h.tolist()
+    start = all_minus(m)
+    start[::3] = 1
+    vs, us = UpdateStream(m, 11).next_updates(1024)
+    upper, lower, single = start.copy(), start.copy(), start.copy()
+    got = kernels.coupled_steps(m.graph.adjacency, h, upper, lower, 0, vs, us)
+    kernels.chain_steps(indptr, indices, weights, h, single, vs, us)
+    assert got == (0, -1, -1)
+    assert upper.tolist() == lower.tolist() == single.tolist() != start.tolist()
+
+
+def test_coupled_kernel_leaves_pairs_after_the_meeting_unapplied():
+    m = make_model(path_graph(8, 0.5))
+    indptr, indices, weights = m.graph.csr_lists
+    h = m.graph.h.tolist()
+    vs, us = UpdateStream(m, 5).next_updates(1 << 14)
+    upper, lower = all_plus(m), all_minus(m)
+    ham, k, violation = kernels.coupled_steps(m.graph.adjacency, h, upper, lower, m.n, vs, us)
+    assert (ham, violation) == (0, -1)
+    assert 0 <= k < vs.shape[0] - 1
+    # both chains stand where pairs 0..k leave them, and nowhere later
+    up_k, lo_k = all_plus(m), all_minus(m)
+    kernels.chain_steps(indptr, indices, weights, h, up_k, vs[:k + 1], us[:k + 1])
+    kernels.chain_steps(indptr, indices, weights, h, lo_k, vs[:k + 1], us[:k + 1])
+    assert upper.tolist() == up_k.tolist() == lower.tolist() == lo_k.tolist()
+    # k is the first agreement, and the pairs after it would have moved the state
+    up_prev, lo_prev = all_plus(m), all_minus(m)
+    kernels.chain_steps(indptr, indices, weights, h, up_prev, vs[:k], us[:k])
+    kernels.chain_steps(indptr, indices, weights, h, lo_prev, vs[:k], us[:k])
+    assert up_prev.tolist() != lo_prev.tolist()
+    kernels.chain_steps(indptr, indices, weights, h, up_k, vs[k + 1:], us[k + 1:])
+    assert up_k.tolist() != upper.tolist()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -564,18 +605,35 @@ def test_coupled_chains_keep_the_monotone_order(m, seed, blocks):
     # the order coupled_steps claims for ferromagnetic couplings, with fields
     # and pins, from the clamp-respecting extremes over one update stream
     upper, lower = all_plus(m), all_minus(m)
-    indptr, indices, weights = m.graph.csr_lists
     h = m.graph.h.tolist()
     stream = UpdateStream(m, seed)
     ham = int(np.count_nonzero(upper != lower))
     for count in blocks:
         vs, us = stream.next_updates(count)
-        ham, _, violation = kernels.coupled_steps(indptr, indices, weights, h, upper, lower,
-                                                  vs, us, ham)
+        ham, _, violation = kernels.coupled_steps(m.graph.adjacency, h, upper, lower, ham,
+                                                  vs, us)
         assert violation == -1
         assert np.all(upper >= lower)
         assert ham == np.count_nonzero(upper != lower)
         assert respects_clamps(m, upper) and respects_clamps(m, lower)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(clamped_models(), st.integers(0, 2**31), st.integers(0, 50),
+       st.lists(st.integers(0, 300), max_size=8))
+def test_update_stream_pairs_do_not_depend_on_batching(m, seed, chain_id, batches):
+    # a coupled run draws whole blocks and may apply only their heads, so
+    # the pairs after a block must be the same however it was cut
+    whole = UpdateStream(m, seed, chain_id)
+    want_v, want_u = whole.next_updates(sum(batches))
+    split = UpdateStream(m, seed, chain_id)
+    parts = [split.next_updates(k) for k in batches]
+    got_v = np.concatenate([np.empty(0, dtype=np.int64)] + [v for v, _ in parts])
+    got_u = np.concatenate([np.empty(0)] + [u for _, u in parts])
+    assert got_v.tolist() == want_v.tolist()
+    assert got_u.tobytes() == want_u.tobytes()
+    assert split.counter == whole.counter == sum(batches)
+    assert whole.next_updates(5)[1].tobytes() == split.next_updates(5)[1].tobytes()
 
 
 # tanh(40) rounds to 1, so strong edges into +-800 fields reach the atanh clamp

@@ -1,16 +1,23 @@
-"""The benchmark tracer's targets still name public attributes of the package.
+"""The benchmark tracer still wraps and counts the package's functions.
 
 ``perfbench/spans.py`` wraps each (module, attribute) in its ``TARGETS``
-list; a refactor that renames or removes one of them would break
-``perfbench/run.py --trace 1`` without any other test failing.  The list
-is read from the source with ``ast``, so the tracer is not imported.
+list and reads work counts from some calls' arguments by position; a
+refactor that renames one of them, or moves an argument the tracer
+reads, would break ``perfbench/run.py --trace 1`` without any other test
+failing.  The first test reads the list from the source with ``ast``;
+the second installs the tracer in a child process, since installation
+rebinds module attributes for the rest of the process.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PACKAGE_ROOT = Path(importlib.import_module("isinglab").__file__).resolve().parent.parent
 
 
 def _targets():
@@ -28,3 +35,57 @@ def test_every_span_target_resolves():
     for module, attr in targets:
         mod = importlib.import_module(f"isinglab.{module}")
         assert callable(getattr(mod, attr, None)), f"isinglab.{module}.{attr}"
+
+
+# Installs the tracer, then runs small coupled runs, a chain and a walk-tree
+# fold.  Functions are looked up on their modules after installation, as
+# perfbench/task.py does, so every call goes through a wrapper.  A counter
+# that cannot read its call's arguments raises inside the wrapper and ends
+# the process with a traceback.
+TRACED_RUN = """
+import json
+import sys
+
+sys.path[:0] = sys.argv[1:]  # perfbench/, then the package under test
+import numpy as np
+import isinglab.cli
+from spans import Tracer
+
+tracer = Tracer()
+tracer.install()
+from isinglab import dynamics, graph, model, sawtree, treecalc
+
+star = model.make_model(graph.star_graph(6, 0.9))
+dynamics.monotone_coupled_run(star, 100_000, dynamics.UpdateStream(star, 12, chain_id=1))
+er = graph.generate_erdos_renyi(80, 2.0, 5, beta=0.2)
+clamp = np.zeros(80, dtype=np.int8)
+clamp[1::9] = 1
+clamp[4::13] = -1
+clamped = model.make_model(er.with_vertex_data(clamp=clamp))
+dynamics.monotone_coupled_run(clamped, 50_000, dynamics.UpdateStream(clamped, 3, chain_id=2))
+m = model.make_model(er)
+dynamics.run_chain(m, model.all_minus(m), 1000, dynamics.UpdateStream(m, 4))
+st = sawtree.build_saw_tree(er, 0, 4)
+treecalc.root_field(sawtree.tree_model(st, m, m.graph.clamp))
+print(json.dumps({"trace": tracer.to_json(), "tree_nodes": int(st.tree.parent.shape[0])}))
+"""
+
+
+def test_tracer_counts_a_traced_run():
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(SPANS.parent), str(PACKAGE_ROOT)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    trace = out["trace"]
+    coupled = trace["kernels.coupled_steps"]["counts"]["updates"]
+    chain = trace["kernels.chain_steps"]["counts"]["updates"]
+    assert chain == 1000
+    # each kernel counts the pairs handed to it, so together they account
+    # for every pair the update streams drew
+    assert coupled + chain == trace["dynamics.next_updates"]["counts"]["pairs"]
+    assert trace["dynamics.monotone_coupled_run"]["calls"] == 2
+    assert trace["kernels.tree_root_field"]["counts"]["nodes"] == out["tree_nodes"]
+    assert trace["sawtree.build_saw_tree"]["counts"]["nodes"] == out["tree_nodes"]
