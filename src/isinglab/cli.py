@@ -32,7 +32,7 @@ import numpy as np
 
 from . import verify
 from .dynamics import UpdateStream
-from .errors import BudgetError, IsinglabError
+from .errors import IsinglabError
 from .graph import (
     WeightedGraph,
     cycle_graph,
@@ -47,7 +47,7 @@ from .graph import (
 from .model import clamp_large_fields, make_model
 from .rng import substream
 from .sampler import algorithm1_samples, radius_for
-from .sawtree import build_saw_tree, tree_model
+from .sawtree import saw_trees_at_radii, tree_model
 from .treecalc import boundary_influence
 from .verify import (
     DEFAULT_MASTER_SEED,
@@ -374,17 +374,16 @@ def cmd_decay_scan(args) -> int:
     lines = config_echo_lines(cfg)
     lines.append("v,l,influence,sphere_size,bound,status")
     for v in vertices:
-        for l in sec["radii"]:
-            try:
-                st = build_saw_tree(g, v, l, max_nodes=sec["max_nodes"])
-                influence = boundary_influence(tree_model(st, m, g.clamp), l)
-                sphere = int(st.boundary.size)
-                bound = sphere * math.tanh(m.beta_max) ** l
-                lines.append(
-                    f"{v},{l},{_fmt(influence)},{sphere},{_fmt(bound)},ok"
-                )
-            except BudgetError:
+        trees = saw_trees_at_radii(g, v, sec["radii"], sec["max_nodes"])
+        for l, st in zip(sec["radii"], trees):
+            if st is None:
                 lines.append(f"{v},{l},nan,0,nan,budget")
+                continue
+            influence = boundary_influence(tree_model(st, m, g.clamp), l)
+            sphere = int(st.boundary.size)
+            bound = sphere * math.tanh(m.beta_max) ** l
+            lines.append(f"{v},{l},{_fmt(influence)},{sphere},{_fmt(bound)},ok")
+        trees = st = None  # free this vertex's trees before the next one grows
     _emit(args.output, lines)
     return 0
 

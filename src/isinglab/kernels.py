@@ -149,3 +149,36 @@ def tree_root_field(parent, edge_beta, h_node, clamp_node):
             contrib = atanh(x)
         field[par[i]] += contrib
     return field[0]
+
+
+def tree_bracket_fields(parent, edge_beta, h_node, clamp_node, sphere):
+    """(lower, upper) root fields with the ``sphere`` nodes pinned - and +.
+
+    ``sphere`` marks free nodes, one bool per node.  One descending pass
+    gives each end the bits of its own :func:`tree_root_field` fold: the
+    ends share one tanh(edge_beta) per node, and the upper end reuses the
+    lower end's contribution where their fields are equal and nonzero
+    (-0.0 == 0.0, yet the two contribute zeros of opposite sign).
+    """
+    tanh, atanh = math.tanh, math.atanh
+    hi, lo = 1.0 - 1e-15, -1.0 + 1e-15
+    par, beta, clamp, pin = map(memoryview, (parent, edge_beta, clamp_node, sphere))
+    low = memoryview(h_node.astype("float64"))
+    up = memoryview(h_node.astype("float64"))
+    for i in range(par.shape[0] - 1, 0, -1):
+        b, c, p = beta[i], clamp[i], par[i]
+        if c or pin[i]:  # the same pin at both ends, or - below and + above
+            low[p] += b if c > 0 else -b
+            up[p] += b if c >= 0 else -b
+            continue
+        tb = tanh(b)
+        f = low[i]
+        x = tb * tanh(f)
+        contrib = atanh(hi if x > hi else lo if x < lo else x)
+        low[p] += contrib
+        g = up[i]
+        if g != f or not f:
+            x = tb * tanh(g)
+            contrib = atanh(hi if x > hi else lo if x < lo else x)
+        up[p] += contrib
+    return low[0], up[0]

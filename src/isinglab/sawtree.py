@@ -85,6 +85,24 @@ def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
         yield from _preorder_trees(levels, counts, depth_limit)
 
 
+def saw_trees_at_radii(g: WeightedGraph, v: int, radii, max_nodes: int) -> list[SawTree | None]:
+    """Walk trees of v at each radius, in the order given, from one growth.
+
+    Each is the tree :func:`build_saw_tree` builds, or None where that call
+    would raise BudgetError.
+    """
+    radii = [int(l) for l in radii]
+    roots = _check_roots(g, [v], min(radii, default=0))
+    levels, _, reached = _grow_forest(g, roots, max(radii, default=0), max_nodes, False)
+    fits = {l for l in radii if l <= reached}
+    del levels[max(fits, default=0) + 1:]
+    trees = {}
+    for l in fits:
+        cut = levels[:l + 1]
+        trees[l] = next(_preorder_trees(cut, np.array([sum(lv[0].size for lv in cut)]), l))
+    return [trees.get(l) for l in radii]
+
+
 def saw_tree_sizes(g: WeightedGraph, roots, depth_limit: int,
                    max_nodes: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
     """Node count of each root's walk tree (int64), assembling no tree."""
@@ -130,8 +148,10 @@ def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: i
     done = 0
     take = CHUNK_NODES
     while done < roots.size:
-        levels, counts = _grow_forest(g, roots[done:done + take], depth_limit,
-                                      max_nodes, count_only)
+        levels, counts, reached = _grow_forest(g, roots[done:done + take], depth_limit,
+                                               max_nodes, count_only)
+        if reached < depth_limit:
+            raise BudgetError(f"walk tree exceeded {max_nodes} nodes")
         done += counts.size
         take = max(1, CHUNK_NODES * counts.size // int(counts.sum()))
         yield levels, counts
@@ -141,7 +161,7 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
                  count_only: bool):
     """Grow the walk trees of ``roots``, or of the prefix that fits CHUNK_NODES.
 
-    Returns ``(levels, counts)``.  ``levels[k]`` is a tuple (parent, vertex,
+    Returns ``(levels, counts, reached)``.  ``levels[k]`` is a tuple (parent, vertex,
     root, beta, pin) of arrays over the depth-k nodes of every tree:
     parent indexes ``levels[k - 1]``, root indexes the kept roots, beta is
     the coupling to the parent and pin the cycle-closure pin.  A level is
@@ -150,6 +170,8 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
     ``counts[r]`` is root r's node count.  Roots are dropped from the end
     while the forest would pass CHUNK_NODES nodes and more than one root
     is left.  With ``count_only`` the deepest level is counted, not built.
+    Growth stops at ``reached`` = k when some tree would pass ``max_nodes``
+    nodes at depth k + 1; otherwise ``reached`` is ``depth_limit``.
     """
     indptr, indices, weights = g.indptr, g.indices, g.weights
     nroots = roots.size
@@ -167,7 +189,7 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
         grown = counts + np.bincount(root[node], weights=deg - (k > 0),
                                      minlength=nroots).astype(np.int64)
         if ((grown > max_nodes) & (grown > counts)).any():
-            raise BudgetError(f"walk tree exceeded {max_nodes} nodes")
+            return levels, counts, k
         if nroots > 1:
             fits = np.cumsum(grown) <= CHUNK_NODES
             if not fits[-1]:
@@ -206,7 +228,7 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
             closed = closed_after >= 0
             new_pin[closed] = np.where(vertex[parent[closed]] > closed_after[closed], 1, -1)
         levels.append((parent, vert, levels[k][2][parent], weights[edge], new_pin))
-    return levels, counts
+    return levels, counts, depth_limit
 
 
 def _preorder_trees(levels, counts: np.ndarray, depth_limit: int) -> Iterator[SawTree]:
@@ -268,20 +290,6 @@ def saw_marginal_from_tree(st: SawTree, m: IsingModel,
                            cond: dict[int, int] | None = None) -> float:
     """Root marginal of an already-built walk tree under a conditioning."""
     return root_marginal(tree_model(st, m, merge_conditioning(m, cond)))
-
-
-def saw_marginal(m: IsingModel, v: int, depth_limit: int,
-                 cond: dict[int, int] | None = None,
-                 max_nodes: int = DEFAULT_NODE_BUDGET) -> float:
-    """P(s_v = + | cond) computed through the walk tree.
-
-    Exact once ``depth_limit`` reaches the number of vertices (every
-    self-avoiding walk has ended by then); below that the free boundary
-    introduces a truncation error bounded by :func:`saw_marginal_bracket`.
-    The tree is built fresh on every call.
-    """
-    st = build_saw_tree(m.graph, v, depth_limit, max_nodes=max_nodes)
-    return saw_marginal_from_tree(st, m, cond=cond)
 
 
 def saw_marginal_bracket(m: IsingModel, v: int, depth_limit: int,

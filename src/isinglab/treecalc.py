@@ -9,7 +9,8 @@ gives P(root = +1) = logistic(2 F_root); a pinned child contributes its
 coupling with the pin's sign exactly.  The fold runs in one descending
 pass thanks to the parent[i] < i node order (see kernels.tree_root_field).
 Pinning the free depth-l sphere all minus and all plus brackets the root
-marginal; walk trees are evaluated here too, through sawtree.tree_model.
+marginal; both ends fold in one pass (kernels.tree_bracket_fields).  Walk
+trees are evaluated here too, through sawtree.tree_model.
 """
 
 from __future__ import annotations
@@ -60,13 +61,6 @@ def root_marginal(tm: TreeModel) -> float:
     return plus_prob(root_field(tm))
 
 
-def with_pins(tm: TreeModel, nodes, value: int) -> TreeModel:
-    """Copy of the model with the given nodes pinned to value (+1/-1)."""
-    clamp = tm.clamp.copy()
-    clamp[np.asarray(nodes, dtype=np.int64)] = value
-    return TreeModel(tm.tree, tm.edge_beta, tm.h, clamp)
-
-
 def boundary_bracket(tm: TreeModel, l: int) -> tuple[float, float]:
     """Root marginal with the free depth-l sphere pinned all - and all +.
 
@@ -76,8 +70,14 @@ def boundary_bracket(tm: TreeModel, l: int) -> tuple[float, float]:
     """
     if l < 0:
         raise ValueError("depth must be >= 0")
-    sphere = np.flatnonzero((tm.tree.depth == l) & (tm.clamp == 0))
-    return root_marginal(with_pins(tm, sphere, -1)), root_marginal(with_pins(tm, sphere, 1))
+    if tm.clamp[0] != 0:  # a pinned root screens the sphere
+        return root_marginal(tm), root_marginal(tm)
+    if l == 0:  # the free root is the sphere
+        return 0.0, 1.0
+    sphere = (tm.tree.depth == l) & (tm.clamp == 0)
+    lower, upper = kernels.tree_bracket_fields(tm.tree.parent, tm.edge_beta, tm.h, tm.clamp,
+                                               sphere)
+    return plus_prob(lower), plus_prob(upper)
 
 
 def boundary_influence(tm: TreeModel, l: int) -> float:

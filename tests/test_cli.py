@@ -6,10 +6,16 @@ raw bytes to pin the reproducibility contract: same config, same rows.
 
 import hashlib
 import json
+import math
 import os
 
-from isinglab.cli import main, worker_count
-from isinglab.graph import read_graph
+from isinglab.cli import config_echo_lines, load_config, main, worker_count
+from isinglab.errors import BudgetError
+from isinglab.graph import generate_erdos_renyi, read_graph, write_graph
+from isinglab.model import make_model
+from isinglab.rng import substream
+from isinglab.sawtree import build_saw_tree, tree_model
+from test_treecalc import two_fold_bracket
 
 SCAN_INI = """\
 [scan]
@@ -166,6 +172,59 @@ def test_decay_scan_bytes_pinned(tmp_path, monkeypatch):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "73063e826c2f89baf0f7d56d32bff5ff1bbd4ef230cd308282846a0b0ba5cef9"
     )
+
+
+DECAY_REF_INI = """\
+[model]
+file = {graph}
+
+[scan]
+radii = 9 0 6 6 3
+vertices = all
+max_nodes = 200
+"""
+
+
+def _reference_decay_scan(cfg_path):
+    """decay-scan's output as one build and two whole folds per row gave it."""
+    cfg = load_config(cfg_path)
+    g = read_graph(cfg["model"]["file"])
+    m = make_model(g)
+    radii = [int(l) for l in cfg["scan"]["radii"].split()]
+    max_nodes = int(cfg["scan"]["max_nodes"])
+    lines = config_echo_lines(cfg) + ["v,l,influence,sphere_size,bound,status"]
+    for v in range(g.n):
+        for l in radii:
+            try:
+                st = build_saw_tree(g, v, l, max_nodes=max_nodes)
+            except BudgetError:
+                lines.append(f"{v},{l},nan,0,nan,budget")
+                continue
+            lo, hi = two_fold_bracket(tree_model(st, m, g.clamp), l)
+            sphere = int(st.boundary.size)
+            bound = sphere * math.tanh(m.beta_max) ** l
+            lines.append(f"{v},{l},{hi - lo:.9g},{sphere},{bound:.9g},ok")
+    return "".join(line + "\n" for line in lines)
+
+
+def test_decay_scan_matches_one_build_per_row(tmp_path):
+    # one growth per vertex serves radii given unsorted and repeated, and
+    # the 200-node budget stops it between radii 3 and 6 for some vertices
+    # and between 6 and 9 for others
+    g = generate_erdos_renyi(80, 2.5, 7, beta=0.4)
+    g = g.with_vertex_data(h=substream(7, "decay-reference").uniform(-0.6, 0.6, size=g.n))
+    write_graph(g, str(tmp_path / "g.txt"))
+    cfg = write(tmp_path, "decay-ref.ini", DECAY_REF_INI.format(graph=tmp_path / "g.txt"))
+    out = tmp_path / "decay-ref.csv"
+    assert run(["decay-scan", "-c", cfg, "-o", str(out)]) == 0
+    status = {}
+    for row in out.read_text().splitlines()[-5 * g.n:]:
+        v, l, *_, flag = row.split(",")
+        status.setdefault(int(v), {})[int(l)] = flag
+    assert any(s[3] == "ok" and s[6] == "budget" for s in status.values())
+    assert any(s[6] == "ok" and s[9] == "budget" for s in status.values())
+    assert any(s[9] == "ok" for s in status.values())
+    assert out.read_text() == _reference_decay_scan(cfg)
 
 
 def test_sample_json(tmp_path):

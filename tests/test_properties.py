@@ -27,6 +27,7 @@ from isinglab.graph import (  # noqa: E402
     ball_excesses,
     generate_erdos_renyi,
     graph_from_edges,
+    make_rooted_tree,
     path_graph,
     read_graph,
     tree_excess,
@@ -37,6 +38,7 @@ from isinglab.model import (  # noqa: E402
     all_plus,
     exact_conditional_marginal,
     make_model,
+    merge_conditioning,
     respects_clamps,
 )
 from isinglab.sampler import algorithm1_output_law, algorithm1_samples  # noqa: E402
@@ -44,12 +46,16 @@ from isinglab.sawtree import (  # noqa: E402
     CHUNK_NODES,
     build_saw_tree,
     build_saw_trees,
-    saw_marginal,
     saw_marginal_bracket,
     saw_tree_size,
     saw_tree_sizes,
+    saw_trees_at_radii,
+    tree_model,
 )
+from isinglab.treecalc import TreeModel, boundary_bracket  # noqa: E402
 from test_dynamics import chain_steps_counted  # noqa: E402
+from test_sawtree import saw_marginal  # noqa: E402
+from test_treecalc import two_fold_bracket, with_pins  # noqa: E402
 
 NODE_BUDGET = 5000
 
@@ -220,6 +226,53 @@ def test_forest_builder_matches_depth_first_oracle(case):
     sizes = saw_tree_sizes(g, roots, depth, max_nodes)
     assert sizes.dtype == np.int64
     assert sizes.tolist() == [tree.size for tree in got]
+
+
+@st.composite
+def radii_cases(draw):
+    """(graph, vertex, radii, max_nodes) for one growth serving many radii.
+
+    Radii come unsorted and repeated, 0 among them.  Half the graphs have
+    at most 9 vertices, so every walk ends before the largest radius on
+    many draws.  max_nodes is drawn up to NODE_BUDGET, often 1, or is the
+    size of one requested radius's tree, which stops the growth between
+    two radii.
+    """
+    if draw(st.booleans()):
+        n, edges = draw(edge_lists())
+        g = graph_from_edges(n, edges)
+    else:
+        g, _, _, _ = draw(forest_cases())
+    v = draw(st.integers(0, g.n - 1))
+    radii = draw(st.lists(st.integers(0, 11), max_size=6))
+    max_nodes = draw(st.one_of(st.integers(1, NODE_BUDGET), st.just("cut")))
+    if max_nodes == "cut":  # the size of one radius's tree, or a little more
+        try:
+            max_nodes = saw_tree_size(g, v, draw(st.sampled_from(radii or [0])), NODE_BUDGET)
+        except BudgetError:
+            max_nodes = NODE_BUDGET
+        max_nodes += draw(st.integers(0, 2))
+    return g, v, radii, max_nodes
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(radii_cases())
+def test_trees_at_radii_match_one_build_per_radius(case):
+    g, v, radii, max_nodes = case
+    got = saw_trees_at_radii(g, v, radii, max_nodes)
+    assert len(got) == len(radii)
+    for l, tree in zip(radii, got):
+        try:
+            want = build_saw_tree(g, v, l, max_nodes)
+        except BudgetError:
+            assert tree is None, l
+            continue
+        assert tree.depth_limit == want.depth_limit == l
+        for a, b in ((tree.tree.parent, want.tree.parent), (tree.tree.depth, want.tree.depth),
+                     (tree.tree.label, want.tree.label), (tree.edge_beta, want.edge_beta),
+                     (tree.fixed, want.fixed), (tree.boundary, want.boundary)):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 @st.composite
@@ -655,6 +708,43 @@ def test_tree_fold_matches_numpy_reference(nodes):
     want = _ref_tree_root_field(parent, edge_beta, h_node, clamp)
     assert float(got).hex() == float(want).hex()
     assert h_node.tobytes() == before.tobytes()
+
+
+@st.composite
+def bracket_cases(draw):
+    """(tree model, l) for the one-pass bracket.
+
+    Half are random trees in which any node, the root too, may be pinned;
+    half are walk trees of a clamped model under a conditioning, so their
+    pins are cycle closures and conditioned vertices.  l runs from 0 to
+    two past the tree's depth, so free sphere nodes may have children.
+    """
+    if draw(st.booleans()):
+        where, beta, h, pin = zip(*draw(st.lists(tree_nodes, min_size=1, max_size=30)))
+        tree = make_rooted_tree([-1] + [int(x * i) for i, x in enumerate(where) if i])
+        tm = TreeModel(tree, np.array(beta), np.array(h), np.array(pin, dtype=np.int8))
+    else:
+        m = draw(clamped_models(fields))
+        free = m.graph.free_vertices().tolist()
+        v = draw(st.sampled_from(free))
+        cond = draw(st.dictionaries(st.sampled_from(free).filter(lambda u: u != v), spin))
+        walk = build_saw_tree(m.graph, v, draw(st.integers(0, m.n + 1)))
+        tm = tree_model(walk, m, merge_conditioning(m, cond))
+    return tm, draw(st.integers(0, int(tm.tree.depth.max()) + 2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(bracket_cases())
+def test_one_pass_bracket_matches_two_folds(case):
+    tm, l = case
+    sphere = (tm.tree.depth == l) & (tm.clamp == 0)
+    ends = kernels.tree_bracket_fields(tm.tree.parent, tm.edge_beta, tm.h, tm.clamp, sphere)
+    folds = [kernels.tree_root_field(tm.tree.parent, tm.edge_beta, tm.h,
+                                     with_pins(tm, np.flatnonzero(sphere), pin).clamp)
+             for pin in (-1, 1)]
+    assert [float(f).hex() for f in ends] == [float(f).hex() for f in folds]
+    got = boundary_bracket(tm, l)
+    assert [float(p).hex() for p in got] == [float(p).hex() for p in two_fold_bracket(tm, l)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,21 @@ from isinglab.model import exact_conditional_marginal, make_model
 from isinglab.rng import substream
 from isinglab.sawtree import (
     build_saw_tree,
-    saw_marginal,
     saw_marginal_bracket,
+    saw_marginal_from_tree,
     saw_tree_size,
+    saw_trees_at_radii,
 )
 from isinglab.verify import random_connected_model
+
+
+def saw_marginal(m, v, depth_limit, cond=None):
+    """P(s_v = + | cond) through a walk tree built fresh on every call.
+
+    The dict-conditioning reference: exact once ``depth_limit`` reaches the
+    number of vertices, as every self-avoiding walk has ended by then.
+    """
+    return saw_marginal_from_tree(build_saw_tree(m.graph, v, depth_limit), m, cond=cond)
 
 
 def saw_tree_dump(st):
@@ -156,6 +166,18 @@ def test_node_budget_enforced():
     g = graph_from_edges(n, edges)
     with pytest.raises(BudgetError):
         build_saw_tree(g, 0, 11, max_nodes=500)
+    # one growth for several radii marks the radii past the budget instead
+    small, big = saw_trees_at_radii(g, 0, [2, 11], max_nodes=500)
+    assert small.size == build_saw_tree(g, 0, 2).size and big is None
+
+
+def test_trees_at_radii_check_their_arguments():
+    g = path_graph(4, 0.3)
+    assert saw_trees_at_radii(g, 1, [], max_nodes=10) == []
+    with pytest.raises(ValueError):
+        saw_trees_at_radii(g, 1, [2, -1], max_nodes=10)
+    with pytest.raises(ValueError):
+        saw_trees_at_radii(g, 4, [2], max_nodes=10)
 
 
 def test_clamped_vertex_copies_onto_every_occurrence():

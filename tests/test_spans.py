@@ -16,6 +16,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from isinglab.cli import main
+from isinglab.graph import generate_erdos_renyi
+from isinglab.model import make_model
+from isinglab.sawtree import build_saw_tree, tree_model
+from isinglab.treecalc import boundary_bracket
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 PACKAGE_ROOT = Path(importlib.import_module("isinglab").__file__).resolve().parent.parent
 
@@ -37,16 +43,19 @@ def test_every_span_target_resolves():
         assert callable(getattr(mod, attr, None)), f"isinglab.{module}.{attr}"
 
 
-# Installs the tracer, then runs small coupled runs, a chain and a walk-tree
-# fold.  Functions are looked up on their modules after installation, as
+# Installs the tracer, then runs small coupled runs, a chain, a walk-tree
+# fold, a bracket and a decay-scan whose config is the last argument.
+# Functions are looked up on their modules after installation, as
 # perfbench/task.py does, so every call goes through a wrapper.  A counter
 # that cannot read its call's arguments raises inside the wrapper and ends
 # the process with a traceback.
 TRACED_RUN = """
+import io
 import json
 import sys
+from contextlib import redirect_stdout
 
-sys.path[:0] = sys.argv[1:]  # perfbench/, then the package under test
+sys.path[:0] = sys.argv[1:3]  # perfbench/, then the package under test
 import numpy as np
 import isinglab.cli
 from spans import Tracer
@@ -66,20 +75,56 @@ dynamics.monotone_coupled_run(clamped, 50_000, dynamics.UpdateStream(clamped, 3,
 m = model.make_model(er)
 dynamics.run_chain(m, model.all_minus(m), 1000, dynamics.UpdateStream(m, 4))
 st = sawtree.build_saw_tree(er, 0, 4)
-treecalc.root_field(sawtree.tree_model(st, m, m.graph.clamp))
-print(json.dumps({"trace": tracer.to_json(), "tree_nodes": int(st.tree.parent.shape[0])}))
+tm = sawtree.tree_model(st, m, m.graph.clamp)
+treecalc.root_field(tm)
+bracket = [p.hex() for p in treecalc.boundary_bracket(tm, 3)]
+decay = io.StringIO()
+with redirect_stdout(decay):
+    isinglab.cli.main(["decay-scan", "-c", sys.argv[3]])
+print(json.dumps({"trace": tracer.to_json(), "tree_nodes": int(st.tree.parent.shape[0]),
+                  "bracket": bracket, "decay": decay.getvalue()}))
+"""
+
+# one row of five ends in status=budget: vertex 14's radius-5 tree has 181
+# nodes
+DECAY_INI = """\
+[model]
+kind = er
+n = 80
+d = 2.0
+beta = 0.2
+seed = 5
+
+[scan]
+radii = 2 5
+vertices = 3
+max_nodes = 100
 """
 
 
-def test_tracer_counts_a_traced_run():
+def test_tracer_counts_a_traced_run(tmp_path, capsys):
+    config = tmp_path / "decay.ini"
+    config.write_text(DECAY_INI)
     done = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(SPANS.parent), str(PACKAGE_ROOT)],
+        [sys.executable, "-c", TRACED_RUN, str(SPANS.parent), str(PACKAGE_ROOT), str(config)],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     out = json.loads(done.stdout.splitlines()[-1])
+
+    # traced outputs are the untraced ones, byte for byte
+    capsys.readouterr()
+    assert main(["decay-scan", "-c", str(config)]) == 0
+    untraced = capsys.readouterr().out
+    assert untraced.count(",budget") == 1
+    assert out["decay"] == untraced
+    er = generate_erdos_renyi(80, 2.0, 5, beta=0.2)
+    tm = tree_model(build_saw_tree(er, 0, 4), make_model(er), er.clamp)
+    assert out["bracket"] == [p.hex() for p in boundary_bracket(tm, 3)]
+
     trace = out["trace"]
+    assert trace["cli.decay-scan"]["calls"] == 1
     coupled = trace["kernels.coupled_steps"]["counts"]["updates"]
     chain = trace["kernels.chain_steps"]["counts"]["updates"]
     assert chain == 1000

@@ -3,17 +3,31 @@ import math
 import numpy as np
 import pytest
 
+from isinglab import kernels
 from isinglab.graph import generate_galton_watson, make_rooted_tree, tree_as_graph
 from isinglab.model import exact_conditional_marginal, make_model
 from isinglab.rng import substream
 from isinglab.treecalc import (
+    TreeModel,
     boundary_bracket,
     boundary_influence,
     make_tree_model,
     root_field,
     root_marginal,
-    with_pins,
 )
+
+
+def with_pins(tm, nodes, value):
+    """Copy of the model with the given nodes pinned to value (+1/-1)."""
+    clamp = tm.clamp.copy()
+    clamp[np.asarray(nodes, dtype=np.int64)] = value
+    return TreeModel(tm.tree, tm.edge_beta, tm.h, clamp)
+
+
+def two_fold_bracket(tm, l):
+    """boundary_bracket as two whole folds, the free depth-l sphere pinned - then +."""
+    sphere = np.flatnonzero((tm.tree.depth == l) & (tm.clamp == 0))
+    return root_marginal(with_pins(tm, sphere, -1)), root_marginal(with_pins(tm, sphere, 1))
 
 
 def chain_model(betas, h=None, clamp=None):
@@ -95,3 +109,14 @@ def test_boundary_influence_keeps_pinned_sphere_node():
     assert boundary_influence(tm, 1) == 0.0
     with pytest.raises(ValueError):
         boundary_influence(tm, -1)
+
+
+def test_one_pass_bracket_keeps_signed_zeros():
+    # the zero-coupling sphere node adds -0.0 below and 0.0 above, so the
+    # free node over it holds fields -0.0 and 0.0: equal, yet they add
+    # zeros of opposite sign to the root's -0.0 field
+    tm = chain_model([0.7, 0.0], h=[-0.0, -0.0, 0.3])
+    sphere = tm.tree.depth == 2
+    ends = kernels.tree_bracket_fields(tm.tree.parent, tm.edge_beta, tm.h, tm.clamp, sphere)
+    folds = [root_field(with_pins(tm, [2], pin)) for pin in (-1, 1)]
+    assert [f.hex() for f in ends] == [f.hex() for f in folds] == ["-0x0.0p+0", "0x0.0p+0"]
