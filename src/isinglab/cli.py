@@ -199,8 +199,18 @@ SAMPLE_KEYS = {  # [sample]: the radius L, or the radius factor r of radius_for
 }
 _SAMPLE = (lambda items: " and ".join(k for k in SAMPLE_KEYS if k in items) or "neither",
            SAMPLE_KEYS)
+
+
+def _scale_of_radius(r: int, args: dict) -> str | None:  # gw-stats divides spheres by d ** r
+    try:
+        ok = r >= 0 and 0.0 < args["d"] ** r < math.inf
+    except OverflowError:
+        ok = False
+    return None if ok else f">= 0 with d ** r finite and nonzero at d = {args['d']!r}"
+
+
 GW_KEYS = {  # [gw]
-    "d": (_finite, 2.0, poisson_mean), "radii": (_INTS, [4, 6, 8], at_least(0)),
+    "d": (_finite, 2.0, poisson_mean), "radii": (_INTS, [4, 6, 8], _scale_of_radius),
     "seeds": (int, 10000, at_least(1)), "t": (_finite, 1.0, None),
     "master_seed": _MASTER_SEED,
 }
@@ -443,10 +453,7 @@ def cmd_gw_stats(args) -> int:
     lines.append("r,seeds,mean_sphere,d_pow_r,mean_exp_scaled,mean_density,max_density")
     for r in radii:
         z = spheres[r]
-        try:
-            d_pow_r = d**r
-        except OverflowError as e:
-            raise ConfigError(f"[gw] d = {d!r} to the power r = {r} overflows") from e
+        d_pow_r = d**r
         with np.errstate(all="ignore"):
             mean_exp = float(np.mean(np.exp(t_scale * z / d_pow_r)))
         if not math.isfinite(mean_exp):

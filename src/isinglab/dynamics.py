@@ -79,11 +79,12 @@ def run_chain(m: IsingModel, s0: np.ndarray, steps: int, stream: UpdateStream) -
         raise ValueError("initial configuration violates a clamp")
     indptr, indices, weights = m.graph.csr_lists
     h = m.graph.h.tolist()
+    p_lo, p_hi = m.graph.plus_prob_bounds
     done = 0
     while done < steps:
         k = min(_STEP_BLOCK, steps - done)
         vs, us = stream.next_updates(k)
-        kernels.chain_steps(indptr, indices, weights, h, s, vs, us)
+        kernels.chain_steps(indptr, indices, weights, h, s, vs, us, p_lo, p_hi)
         done += k
     return s
 
@@ -128,6 +129,7 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream,
     lower = all_minus(m)
     adjacency = m.graph.adjacency
     h = m.graph.h.tolist()
+    p_lo, p_hi = m.graph.plus_prob_bounds
     ham = int(np.count_nonzero(upper != lower))
     if checkpoints is None:
         checkpoints = default_checkpoints(cap)
@@ -141,7 +143,7 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream,
         k = min(_STEP_BLOCK, horizon - done)
         vs, us = stream.next_updates(k)
         ham, coupled_at, violation = kernels.coupled_steps(
-            adjacency, h, upper, lower, ham, vs, us,
+            adjacency, h, upper, lower, ham, vs, us, p_lo, p_hi,
         )
         if violation >= 0:
             raise MonotonicityError(
@@ -157,7 +159,8 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream,
             mark_i += 1
     if met_at >= 0:
         vs, us = stream.next_updates(POST_COUPLING_AUDIT)
-        ham2, _, violation = kernels.coupled_steps(adjacency, h, upper, lower, 0, vs, us)
+        ham2, _, violation = kernels.coupled_steps(adjacency, h, upper, lower, 0, vs, us,
+                                                   p_lo, p_hi)
         if violation >= 0 or ham2 != 0:
             raise MonotonicityError("met chains split during post-meeting audit")
         return CouplingResult(True, met_at, cap, recorded)

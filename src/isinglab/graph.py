@@ -20,6 +20,7 @@ from .errors import BudgetError
 from .rng import POISSON_MEAN_CAP, poisson_by_inversion, substream
 
 DEFAULT_VISIT_BUDGET = 10**7
+PLUS_PROB_MARGIN = 1e-12  # far above the few-ulp error of a logistic in [0, 1]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -64,8 +65,31 @@ class WeightedGraph:
         pairs = list(zip(indices, weights))
         return tuple(tuple(pairs[indptr[v]:indptr[v + 1]]) for v in range(self.n))
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
+    @cached_property
+    def plus_prob_bounds(self) -> tuple[list[float], list[float]]:
+        """(p_lo, p_hi): v's heat-bath probability of + lies in (p_lo[v], p_hi[v]).
+
+        Built on first use.  The kernels sum v's local field as h[v] plus
+        w * s over v's CSR row in row order; the bounds sum h[v] -+ |w| in
+        that order, one vectorised pass per row slot, and round-to-nearest
+        is monotone, so no neighbour state takes the field past them.  The
+        margin covers ``np.exp`` here against the kernels' ``math.exp`` and
+        the logistic's ulp-level non-monotonicity.
+        """
+        deg = np.diff(self.indptr)
+        order = np.argsort(-deg, kind="stable")  # the c widest rows lead
+        start, mag = self.indptr[order], np.abs(self.weights)
+        f = np.stack([self.h[order], self.h[order]])  # the low and the high field
+        with np.errstate(over="ignore"):  # a field past the float range is an infinite one
+            for k, c in enumerate(self.n - np.cumsum(np.bincount(deg))[:-1]):
+                w = mag[start[:c] + k]  # slot k of every row wider than k
+                f[0, :c] -= w
+                f[1, :c] += w
+            e = np.exp(-2.0 * np.abs(f))
+        p = np.empty_like(f)
+        p[:, order] = np.where(f >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        p += [[-PLUS_PROB_MARGIN], [PLUS_PROB_MARGIN]]
+        return p[0].tolist(), p[1].tolist()
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -120,34 +144,26 @@ def graph_from_edges(n, edges, h=None, clamp=None) -> WeightedGraph:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     edges = list(edges)
-    m = len(edges)
-    us = np.empty(m, dtype=np.int64)
-    vs = np.empty(m, dtype=np.int64)
-    ws = np.empty(m, dtype=np.float64)
-    for k, (u, v, w) in enumerate(edges):
-        us[k], vs[k], ws[k] = u, v, w
-    if m:
-        if us.min(initial=n) < 0 or vs.min(initial=n) < 0 or us.max(initial=-1) >= n or vs.max(initial=-1) >= n:
-            raise ValueError("edge endpoint out of range")
-        if np.any(us == vs):
-            raise ValueError("self-loops are not allowed")
-        if np.any(ws < 0.0) or not np.all(np.isfinite(ws)):
-            raise ValueError("couplings must be finite and >= 0")
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        if len({(int(a), int(b)) for a, b in zip(lo, hi)}) != m:
-            raise ValueError("duplicate edge")
-    else:
-        lo = us
-        hi = vs
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
+    # zip checks that the edges have one length, the unpacking that it is 3
+    us, vs, ws = zip(*edges, strict=True) if edges else ((), (), ())
+    us = np.array(us, dtype=np.int64)
+    vs = np.array(vs, dtype=np.int64)
+    ws = np.array(ws, dtype=np.float64)
+    if us.min(initial=n) < 0 or vs.min(initial=n) < 0 or us.max(initial=-1) >= n or vs.max(initial=-1) >= n:
+        raise ValueError("edge endpoint out of range")
+    if np.any(us == vs):
+        raise ValueError("self-loops are not allowed")
+    if np.any(ws < 0.0) or not np.all(np.isfinite(ws)):
+        raise ValueError("couplings must be finite and >= 0")
+    src = np.concatenate([us, vs])
+    dst = np.concatenate([vs, us])
     wgt = np.concatenate([ws, ws])
     order = np.lexsort((dst, src))
     src, dst, wgt = src[order], dst[order], wgt[order]
+    if np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):  # one edge given twice
+        raise ValueError("duplicate edge")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     if h is None:
         h = np.zeros(n)
     if clamp is None:
@@ -454,13 +470,12 @@ def generate_erdos_renyi(n: int, d: float, seed: int, beta: float = 1.0) -> Weig
         chosen: set[tuple[int, int]] = set()
         while len(chosen) < count:
             k = max(64, 2 * (count - len(chosen)))
-            a = rng.integers(0, n, size=k)
-            b = rng.integers(0, n, size=k)
+            a = rng.integers(0, n, size=k).tolist()
+            b = rng.integers(0, n, size=k).tolist()
             for u, v in zip(a, b):
                 if u == v:
                     continue
-                pair = (int(min(u, v)), int(max(u, v)))
-                chosen.add(pair)
+                chosen.add((u, v) if u < v else (v, u))
                 if len(chosen) == count:
                     break
         return chosen

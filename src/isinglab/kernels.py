@@ -8,7 +8,10 @@ back before it returns.  The chain kernel reads the CSR arrays, passed
 as lists (``WeightedGraph.csr_lists``, the fast path) or as numpy
 arrays; the coupled kernel reads the per-vertex (neighbour, coupling)
 tuples of ``WeightedGraph.adjacency``, in the same CSR order, and stops
-at the update where its two chains meet.  Fields may be ``h.tolist()``
+at the update where its two chains meet.  Both dynamics kernels first
+test the uniform against per-vertex bounds on the + probability
+(``WeightedGraph.plus_prob_bounds``) and read no neighbour for a draw
+the bounds decide.  Fields may be ``h.tolist()``
 or an array.  Float and int arithmetic on the same doubles gives the
 same bits either way, and every kernel keeps ``math.exp``/``tanh``/
 ``atanh`` in a fixed order of operations, so results do not depend on
@@ -29,29 +32,41 @@ def backend() -> str:
     return "python"
 
 
-def chain_steps(indptr, indices, weights, h, spins, v_arr, u_arr):
+def chain_steps(indptr, indices, weights, h, spins, v_arr, u_arr, p_lo, p_hi):
     """Apply len(v_arr) single-site heat-bath updates to spins, in place.
 
     At update t the site v = v_arr[t] is redrawn from its conditional
-    given the rest: + with probability logistic(2 * local field).
+    given the rest: + with probability p = logistic(2 * local field).
+    ``p_lo``/``p_hi`` bound p over every state of v's neighbours
+    (``WeightedGraph.plus_prob_bounds`` for these weights and fields), so
+    u <= p_lo[v] sets + and u > p_hi[v] sets - before any neighbour is
+    read.  The bounds' fields are summed in this kernel's row order and
+    rounding is monotone, and their 1e-12 margin covers ``np.exp`` against
+    ``math.exp`` and the logistic's ulp-level non-monotonicity, so a draw
+    they decide takes the spin the full path would.
     """
     exp = math.exp
     s = spins.tolist()
     for v, u in zip(memoryview(v_arr), memoryview(u_arr)):
-        f = h[v]
-        for j in range(indptr[v], indptr[v + 1]):
-            f += weights[j] * s[indices[j]]
-        if f >= 0.0:
-            p = 1.0 / (1.0 + exp(-2.0 * f))
+        if u <= p_lo[v]:
+            s[v] = 1
+        elif u > p_hi[v]:
+            s[v] = -1
         else:
-            e = exp(2.0 * f)
-            p = e / (1.0 + e)
-        s[v] = 1 if u <= p else -1
+            f = h[v]
+            for j in range(indptr[v], indptr[v + 1]):
+                f += weights[j] * s[indices[j]]
+            if f >= 0.0:
+                p = 1.0 / (1.0 + exp(-2.0 * f))
+            else:
+                e = exp(2.0 * f)
+                p = e / (1.0 + e)
+            s[v] = 1 if u <= p else -1
     spins[:] = s
     return 0
 
 
-def coupled_steps(adjacency, h, upper, lower, ham_start, v_arr, u_arr):
+def coupled_steps(adjacency, h, upper, lower, ham_start, v_arr, u_arr, p_lo, p_hi):
     """Advance two chains through the same (site, uniform) stream until they meet.
 
     Both chains update the same site with the same uniform, which preserves
@@ -66,32 +81,39 @@ def coupled_steps(adjacency, h, upper, lower, ham_start, v_arr, u_arr):
     in-block index of the order violation); the last two are -1 when the
     event did not occur.  upper and lower hold the state at exit on every
     path.  Equal local fields give equal spins, so the second logistic is
-    computed only when the chains' fields differ.
+    computed only when the chains' fields differ.  A draw that
+    :func:`chain_steps`'s bounds ``p_lo``/``p_hi`` decide gives both chains
+    its spin with no field: only the Hamming decrement and meeting remain.
     """
     exp = math.exp
     up = upper.tolist()
     lo = lower.tolist()
     ham = ham_start
     for t, v, u in zip(count(), memoryview(v_arr), memoryview(u_arr)):
-        fu = fl = h[v]
-        for s, w in adjacency[v]:
-            fu += w * up[s]
-            fl += w * lo[s]
-        if fu >= 0.0:
-            pu = 1.0 / (1.0 + exp(-2.0 * fu))
+        if u <= p_lo[v]:
+            nu = nl = 1
+        elif u > p_hi[v]:
+            nu = nl = -1
         else:
-            e = exp(2.0 * fu)
-            pu = e / (1.0 + e)
-        nu = 1 if u <= pu else -1
-        if fl == fu:
-            nl = nu
-        else:
-            if fl >= 0.0:
-                pl = 1.0 / (1.0 + exp(-2.0 * fl))
+            fu = fl = h[v]
+            for s, w in adjacency[v]:
+                fu += w * up[s]
+                fl += w * lo[s]
+            if fu >= 0.0:
+                pu = 1.0 / (1.0 + exp(-2.0 * fu))
             else:
-                e = exp(2.0 * fl)
-                pl = e / (1.0 + e)
-            nl = 1 if u <= pl else -1
+                e = exp(2.0 * fu)
+                pu = e / (1.0 + e)
+            nu = 1 if u <= pu else -1
+            if fl == fu:
+                nl = nu
+            else:
+                if fl >= 0.0:
+                    pl = 1.0 / (1.0 + exp(-2.0 * fl))
+                else:
+                    e = exp(2.0 * fl)
+                    pl = e / (1.0 + e)
+                nl = 1 if u <= pl else -1
         was_diff = up[v] != lo[v]
         up[v] = nu
         lo[v] = nl

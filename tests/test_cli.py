@@ -9,6 +9,7 @@ import json
 import math
 import os
 
+from isinglab import cli
 from isinglab.cli import config_echo_lines, load_config, main, worker_count
 from isinglab.errors import BudgetError
 from isinglab.graph import generate_erdos_renyi, read_graph, write_graph
@@ -301,6 +302,21 @@ def test_gw_stats_csv(tmp_path):
     assert r3[0] == "3" and r3[1] == "60"
     # mean sphere size should be within a factor ~2 of d^r at d=2
     assert 0.4 * 8 <= float(r3[2]) <= 2.5 * 8
+
+
+def test_gw_stats_checks_the_radius_scale_before_any_tree(tmp_path, capsys, monkeypatch):
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a branching tree was built for a bad config")
+
+    monkeypatch.setattr(cli, "generate_galton_watson", no_tree)
+    # d ** r overflows, or underflows to 0 (which once ended as a non-finite
+    # mean_exp_scaled after every tree was built)
+    for d, radii in [("1.01", "80000"), ("30", "3 300"), ("0.5", "2000"), ("0.01", "4 170")]:
+        cfg = write(tmp_path, "gw.ini", f"[gw]\nd = {d}\nradii = {radii}\nseeds = 5\n")
+        assert run(["gw-stats", "-c", cfg, "-o", "/dev/null"]) == 2, (d, radii)
+        err = capsys.readouterr().err
+        assert err.startswith("error: [gw] radii must be >= 0 with d ** r finite and nonzero")
+        assert "Traceback" not in err
 
 
 def test_verify_command(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -96,12 +97,12 @@ def test_read_graph_rejects_garbage():
 def test_small_topologies():
     s = star_graph(4, 0.5)
     assert s.n == 5 and s.num_edges == 4
-    assert s.degree(0) == 4
+    assert s.degrees()[0] == 4
     p = path_graph(6)
     assert p.num_edges == 5
     c = cycle_graph(6)
     assert c.num_edges == 6
-    assert all(c.degree(v) == 2 for v in range(6))
+    assert c.degrees().tolist() == [2] * 6
 
 
 def test_er_graph_reproducible_and_sane():
@@ -112,6 +113,34 @@ def test_er_graph_reproducible_and_sane():
     # mean degree concentrates near d
     mean_deg = 2 * a.num_edges / a.n
     assert 1.6 < mean_deg < 2.4
+
+
+# sha256 of (indptr, indices, weights) bytes; (30, 20.0) places the
+# complement of its edge set, the others place edges by rejection
+ER_DIGESTS = [
+    ((1, 0.0, 0, 1.0), "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
+    ((30, 20.0, 3, 1.0), "4fbac9dec2c6ac0823dec23074a161f63d7be9d0434b8ae00371bfe281687ab0"),
+    ((200, 2.0, 1, 0.3), "54cf0549edecb96728ba237b710abd29bd119e0d69c4ff3eff926d7c32d4cc7f"),
+    ((2000, 2.0, 7, 1.0), "d685537f2f610a7853e1ff59a86a8a05b0132deb79a0caa8e27cc10adb1f4e6e"),
+    ((5000, 3.0, 11, 0.05), "6a6250c49ddb4f736703009681698006c399c510aad9234162609ee3b3d4a199"),
+]
+
+
+def test_er_graphs_pinned():
+    for (n, d, seed, beta), digest in ER_DIGESTS:
+        g = generate_erdos_renyi(n, d, seed, beta=beta)
+        data = g.indptr.tobytes() + g.indices.tobytes() + g.weights.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, (n, d, seed, beta)
+
+
+def test_duplicate_edges_rejected_in_either_orientation():
+    for dup in [(2, 4, 0.5), (4, 2, 0.5), (4, 2, 3.0)]:
+        for edges in ([(2, 4, 0.5), (0, 1, 1.0), dup], [dup, (0, 1, 1.0), (2, 4, 0.5)]):
+            with pytest.raises(ValueError, match="duplicate edge"):
+                graph_from_edges(5, edges)
+    for bad in ([(0, 1)], [(0, 1, 1.0), (1, 2, 1.0, 7)]):  # not all triples
+        with pytest.raises(ValueError):
+            graph_from_edges(3, bad)
 
 
 def test_gw_tree_offspring_mean():

@@ -18,12 +18,12 @@ def test_chain_steps_respects_conditional():
     p_plus = 1.0 / (1.0 + np.exp(-2.0 * 1.4))
     kernels.chain_steps(
         g.indptr, g.indices, g.weights, g.h, spins, v_arr,
-        np.array([p_plus - 1e-12]),
+        np.array([p_plus - 1e-12]), *g.plus_prob_bounds,
     )
     assert spins[1] == 1
     kernels.chain_steps(
         g.indptr, g.indices, g.weights, g.h, spins, v_arr,
-        np.array([p_plus + 1e-12]),
+        np.array([p_plus + 1e-12]), *g.plus_prob_bounds,
     )
     assert spins[1] == -1
 
@@ -41,6 +41,6 @@ def test_logistic_tails_are_stable():
     spins = np.array([1, -1], dtype=np.int8)
     kernels.chain_steps(
         g.indptr, g.indices, g.weights, g.h, spins,
-        np.array([0, 1], dtype=np.int64), np.array([0.5, 0.5]),
+        np.array([0, 1], dtype=np.int64), np.array([0.5, 0.5]), *g.plus_prob_bounds,
     )
     assert spins[0] == 1 and spins[1] == -1

@@ -10,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import io  # noqa: E402
+import itertools  # noqa: E402
 import math  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
@@ -537,16 +538,16 @@ spin = st.sampled_from([-1, 1])
 
 
 @st.composite
-def signed_graphs(draw):
-    """A graph on <= 8 vertices whose couplings may be negative.
+def signed_graphs(draw, fields=fields, couplings=st.floats(-1.5, 1.5), max_n=8, max_edges=12):
+    """A graph on <= max_n vertices whose couplings may be negative.
 
     Negative couplings break the monotone order, so the coupled kernel
     takes its early violation return on some draws.
     """
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple)
-    coupling = st.dictionaries(pair.filter(lambda p: p[0] != p[1]), st.floats(-1.5, 1.5),
-                               max_size=12)
+    coupling = st.dictionaries(pair.filter(lambda p: p[0] != p[1]), couplings,
+                               max_size=max_edges)
     edges = draw(coupling) if n > 1 else {}
     h = draw(st.lists(fields, min_size=n, max_size=n))
     g = graph_from_edges(n, [(u, v, abs(w)) for (u, v), w in edges.items()], h=h)
@@ -555,24 +556,48 @@ def signed_graphs(draw):
     return replace(g, weights=g.weights * np.array(sign))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(signed_graphs(), st.data())
+# fields and couplings far past the uniqueness regime, where a bound's
+# field sums terms of very different sizes and the logistic saturates
+strong_fields = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-800.0, -0.0, 0.0, 800.0]))
+strong_couplings = st.floats(-40.0, 40.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.one_of(signed_graphs(), signed_graphs(strong_fields, strong_couplings)), st.data())
 def test_list_kernels_match_numpy_reference(g, data):
+    n = g.n
+    clamp = data.draw(st.lists(st.sampled_from([0, 0, 1, -1]), min_size=n, max_size=n))
+    g = g.with_vertex_data(clamp=clamp)
     indptr, indices, weights, h = g.indptr, g.indices, g.weights, g.h
-    n = h.shape[0]
-    # a site is a uniform scaled to n, as UpdateStream draws it
-    pairs = data.draw(st.lists(st.tuples(unit, unit), max_size=40))
-    v_arr = np.array([int(x * n) for x, _ in pairs], dtype=np.int64)
+    # sites are a uniform scaled to the free vertices, as UpdateStream
+    # draws them, and clamped vertices start, and so stay, at their pins
+    free = g.free_vertices().tolist() or list(range(n))
+    pairs = data.draw(st.lists(st.tuples(unit, unit), max_size=60))
+    v_arr = np.array([free[int(x * len(free))] for x, _ in pairs], dtype=np.int64)
     u_arr = np.array([u for _, u in pairs], dtype=np.float64)
     spin_pairs = data.draw(st.lists(st.tuples(spin, spin), min_size=n, max_size=n))
-    a = np.array([x for x, _ in spin_pairs], dtype=np.int8)
-    b = np.array([y for _, y in spin_pairs], dtype=np.int8)
+    a = np.where(g.clamp != 0, g.clamp, [x for x, _ in spin_pairs]).astype(np.int8)
+    b = np.where(g.clamp != 0, g.clamp, [y for _, y in spin_pairs]).astype(np.int8)
     lists = (indptr.tolist(), indices.tolist(), weights.tolist(), h.tolist())
+    upper, lower = np.maximum(a, b), np.minimum(a, b)
+    ham = int(np.count_nonzero(upper != lower))
 
-    got, want = a.copy(), a.copy()
-    kernels.chain_steps(*lists, got, v_arr, u_arr)
+    want = a.copy()
     _ref_chain_steps(indptr, indices, weights, h, want, v_arr, u_arr)
-    assert got.tolist() == want.tolist()
+    want_up, want_lo = upper.copy(), lower.copy()
+    want_ret = _ref_coupled_steps(indptr, indices, weights, h, want_up, want_lo, ham,
+                                  v_arr, u_arr)
+    trivial = ([-1.0] * n, [2.0] * n)  # decide no draw
+    for bounds in (g.plus_prob_bounds, trivial):
+        got = a.copy()
+        kernels.chain_steps(*lists, got, v_arr, u_arr, *bounds)
+        assert got.tolist() == want.tolist()
+        got_up, got_lo = upper.copy(), lower.copy()
+        got_ret = kernels.coupled_steps(g.adjacency, h.tolist(), got_up, got_lo, ham,
+                                        v_arr, u_arr, *bounds)
+        assert got_ret == want_ret
+        assert got_up.tolist() == want_up.tolist()
+        assert got_lo.tolist() == want_lo.tolist()
 
     thin = data.draw(st.integers(1, 4))
     got, want = a.copy(), a.copy()
@@ -582,14 +607,59 @@ def test_list_kernels_match_numpy_reference(g, data):
     assert got.tolist() == want.tolist()
     assert got_counts == want_counts.tolist()
 
-    upper, lower = np.maximum(a, b), np.minimum(a, b)
+
+def _kernel_plus_prob(h, row, spins):
+    """The kernels' + probability: the field summed in row order, then their logistic."""
+    f = h
+    for s, w in row:
+        f += w * spins[s]
+    if f >= 0.0:
+        return 1.0 / (1.0 + math.exp(-2.0 * f))
+    e = math.exp(2.0 * f)
+    return e / (1.0 + e)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(signed_graphs(strong_fields, strong_couplings, max_n=9, max_edges=36), st.data())
+def test_bounds_hold_on_the_knife_edge(g, data):
+    n = g.n
+    h = g.h.tolist()
+    p_lo, p_hi = g.plus_prob_bounds
+    # every state of every neighbourhood (degree <= 8) gives a p strictly
+    # inside the vertex's bounds
+    for v in range(n):
+        row = g.adjacency[v]
+        for signs in itertools.product((-1, 1), repeat=len(row)):
+            state = dict(zip((s for s, _ in row), signs))
+            assert p_lo[v] < _kernel_plus_prob(h[v], row, state) < p_hi[v]
+
+    # one-update calls with u at the kernel's own p and its float
+    # neighbours, on every vertex, agree with the bound-free reference
+    spin_pairs = data.draw(st.lists(st.tuples(spin, spin), min_size=n, max_size=n))
+    upper = np.array([max(x, y) for x, y in spin_pairs], dtype=np.int8)
+    lower = np.array([min(x, y) for x, y in spin_pairs], dtype=np.int8)
     ham = int(np.count_nonzero(upper != lower))
-    got_up, got_lo, want_up, want_lo = upper.copy(), lower.copy(), upper.copy(), lower.copy()
-    got = kernels.coupled_steps(g.adjacency, h.tolist(), got_up, got_lo, ham, v_arr, u_arr)
-    want = _ref_coupled_steps(indptr, indices, weights, h, want_up, want_lo, ham, v_arr, u_arr)
-    assert got == want
-    assert got_up.tolist() == want_up.tolist()
-    assert got_lo.tolist() == want_lo.tolist()
+    lists = g.csr_lists + (h,)
+    for v in range(n):
+        v_arr = np.array([v], dtype=np.int64)
+        edges = set()
+        for p in (_kernel_plus_prob(h[v], g.adjacency[v], upper),
+                  _kernel_plus_prob(h[v], g.adjacency[v], lower)):
+            edges |= {math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)}
+        for u in sorted(edges):
+            u_arr = np.array([u])
+            for start in (upper, lower):
+                got, want = start.copy(), start.copy()
+                kernels.chain_steps(*lists, got, v_arr, u_arr, p_lo, p_hi)
+                _ref_chain_steps(g.indptr, g.indices, g.weights, g.h, want, v_arr, u_arr)
+                assert got.tolist() == want.tolist(), (v, u.hex())
+            got_up, got_lo, want_up, want_lo = upper.copy(), lower.copy(), upper.copy(), lower.copy()
+            got = kernels.coupled_steps(g.adjacency, h, got_up, got_lo, ham, v_arr, u_arr,
+                                        p_lo, p_hi)
+            want = _ref_coupled_steps(g.indptr, g.indices, g.weights, g.h, want_up, want_lo,
+                                      ham, v_arr, u_arr)
+            assert got == want, (v, u.hex())
+            assert got_up.tolist() == want_up.tolist() and got_lo.tolist() == want_lo.tolist()
 
 
 def test_coupled_kernel_writes_back_on_violation():
@@ -605,7 +675,8 @@ def test_coupled_kernel_writes_back_on_violation():
     got_up, got_lo = np.ones(2, dtype=np.int8), -np.ones(2, dtype=np.int8)
     want_up, want_lo = got_up.copy(), got_lo.copy()
     adjacency = (((1, -1.0),), ((0, -1.0),))
-    got = kernels.coupled_steps(adjacency, h.tolist(), got_up, got_lo, 2, v_arr, u_arr)
+    got = kernels.coupled_steps(adjacency, h.tolist(), got_up, got_lo, 2, v_arr, u_arr,
+                                [-1.0] * 2, [2.0] * 2)
     want = _ref_coupled_steps(indptr, indices, weights, h, want_up, want_lo, 2, v_arr, u_arr)
     assert got == want == (2, -1, 0)
     assert got_up.tolist() == want_up.tolist() == [-1, 1]
@@ -618,12 +689,13 @@ def test_coupled_kernel_runs_a_block_from_equal_states_in_full():
     m = make_model(generate_erdos_renyi(40, 2.0, 7, beta=0.4))
     indptr, indices, weights = m.graph.csr_lists
     h = m.graph.h.tolist()
+    bounds = m.graph.plus_prob_bounds
     start = all_minus(m)
     start[::3] = 1
     vs, us = UpdateStream(m, 11).next_updates(1024)
     upper, lower, single = start.copy(), start.copy(), start.copy()
-    got = kernels.coupled_steps(m.graph.adjacency, h, upper, lower, 0, vs, us)
-    kernels.chain_steps(indptr, indices, weights, h, single, vs, us)
+    got = kernels.coupled_steps(m.graph.adjacency, h, upper, lower, 0, vs, us, *bounds)
+    kernels.chain_steps(indptr, indices, weights, h, single, vs, us, *bounds)
     assert got == (0, -1, -1)
     assert upper.tolist() == lower.tolist() == single.tolist() != start.tolist()
 
@@ -632,22 +704,24 @@ def test_coupled_kernel_leaves_pairs_after_the_meeting_unapplied():
     m = make_model(path_graph(8, 0.5))
     indptr, indices, weights = m.graph.csr_lists
     h = m.graph.h.tolist()
+    bounds = m.graph.plus_prob_bounds
     vs, us = UpdateStream(m, 5).next_updates(1 << 14)
     upper, lower = all_plus(m), all_minus(m)
-    ham, k, violation = kernels.coupled_steps(m.graph.adjacency, h, upper, lower, m.n, vs, us)
+    ham, k, violation = kernels.coupled_steps(m.graph.adjacency, h, upper, lower, m.n, vs, us,
+                                              *bounds)
     assert (ham, violation) == (0, -1)
     assert 0 <= k < vs.shape[0] - 1
     # both chains stand where pairs 0..k leave them, and nowhere later
     up_k, lo_k = all_plus(m), all_minus(m)
-    kernels.chain_steps(indptr, indices, weights, h, up_k, vs[:k + 1], us[:k + 1])
-    kernels.chain_steps(indptr, indices, weights, h, lo_k, vs[:k + 1], us[:k + 1])
+    kernels.chain_steps(indptr, indices, weights, h, up_k, vs[:k + 1], us[:k + 1], *bounds)
+    kernels.chain_steps(indptr, indices, weights, h, lo_k, vs[:k + 1], us[:k + 1], *bounds)
     assert upper.tolist() == up_k.tolist() == lower.tolist() == lo_k.tolist()
     # k is the first agreement, and the pairs after it would have moved the state
     up_prev, lo_prev = all_plus(m), all_minus(m)
-    kernels.chain_steps(indptr, indices, weights, h, up_prev, vs[:k], us[:k])
-    kernels.chain_steps(indptr, indices, weights, h, lo_prev, vs[:k], us[:k])
+    kernels.chain_steps(indptr, indices, weights, h, up_prev, vs[:k], us[:k], *bounds)
+    kernels.chain_steps(indptr, indices, weights, h, lo_prev, vs[:k], us[:k], *bounds)
     assert up_prev.tolist() != lo_prev.tolist()
-    kernels.chain_steps(indptr, indices, weights, h, up_k, vs[k + 1:], us[k + 1:])
+    kernels.chain_steps(indptr, indices, weights, h, up_k, vs[k + 1:], us[k + 1:], *bounds)
     assert up_k.tolist() != upper.tolist()
 
 
@@ -664,7 +738,7 @@ def test_coupled_chains_keep_the_monotone_order(m, seed, blocks):
     for count in blocks:
         vs, us = stream.next_updates(count)
         ham, _, violation = kernels.coupled_steps(m.graph.adjacency, h, upper, lower, ham,
-                                                  vs, us)
+                                                  vs, us, *m.graph.plus_prob_bounds)
         assert violation == -1
         assert np.all(upper >= lower)
         assert ham == np.count_nonzero(upper != lower)

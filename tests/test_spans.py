@@ -16,9 +16,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from isinglab.cli import main
-from isinglab.graph import generate_erdos_renyi
-from isinglab.model import make_model
+from isinglab.dynamics import UpdateStream, monotone_coupled_run, run_chain
+from isinglab.graph import generate_erdos_renyi, star_graph
+from isinglab.model import all_minus, make_model
 from isinglab.sawtree import build_saw_tree, tree_model
 from isinglab.treecalc import boundary_bracket
 
@@ -65,15 +68,16 @@ tracer.install()
 from isinglab import dynamics, graph, model, sawtree, treecalc
 
 star = model.make_model(graph.star_graph(6, 0.9))
-dynamics.monotone_coupled_run(star, 100_000, dynamics.UpdateStream(star, 12, chain_id=1))
+runs = [dynamics.monotone_coupled_run(star, 100_000, dynamics.UpdateStream(star, 12, chain_id=1))]
 er = graph.generate_erdos_renyi(80, 2.0, 5, beta=0.2)
 clamp = np.zeros(80, dtype=np.int8)
 clamp[1::9] = 1
 clamp[4::13] = -1
 clamped = model.make_model(er.with_vertex_data(clamp=clamp))
-dynamics.monotone_coupled_run(clamped, 50_000, dynamics.UpdateStream(clamped, 3, chain_id=2))
+runs.append(dynamics.monotone_coupled_run(clamped, 50_000,
+                                          dynamics.UpdateStream(clamped, 3, chain_id=2)))
 m = model.make_model(er)
-dynamics.run_chain(m, model.all_minus(m), 1000, dynamics.UpdateStream(m, 4))
+chain = dynamics.run_chain(m, model.all_minus(m), 1000, dynamics.UpdateStream(m, 4))
 st = sawtree.build_saw_tree(er, 0, 4)
 tm = sawtree.tree_model(st, m, m.graph.clamp)
 treecalc.root_field(tm)
@@ -82,7 +86,9 @@ decay = io.StringIO()
 with redirect_stdout(decay):
     isinglab.cli.main(["decay-scan", "-c", sys.argv[3]])
 print(json.dumps({"trace": tracer.to_json(), "tree_nodes": int(st.tree.parent.shape[0]),
-                  "bracket": bracket, "decay": decay.getvalue()}))
+                  "bracket": bracket, "decay": decay.getvalue(),
+                  "coupled": [[r.coupled, r.steps, r.checkpoints] for r in runs],
+                  "chain": chain.tolist()}))
 """
 
 # one row of five ends in status=budget: vertex 14's radius-5 tree has 181
@@ -113,7 +119,8 @@ def test_tracer_counts_a_traced_run(tmp_path, capsys):
     assert "Traceback" not in done.stderr
     out = json.loads(done.stdout.splitlines()[-1])
 
-    # traced outputs are the untraced ones, byte for byte
+    # traced outputs are the untraced ones, byte for byte: the decay-scan,
+    # the bracket, both coupled runs (steps and checkpoints) and the chain
     capsys.readouterr()
     assert main(["decay-scan", "-c", str(config)]) == 0
     untraced = capsys.readouterr().out
@@ -122,6 +129,19 @@ def test_tracer_counts_a_traced_run(tmp_path, capsys):
     er = generate_erdos_renyi(80, 2.0, 5, beta=0.2)
     tm = tree_model(build_saw_tree(er, 0, 4), make_model(er), er.clamp)
     assert out["bracket"] == [p.hex() for p in boundary_bracket(tm, 3)]
+    star = make_model(star_graph(6, 0.9))
+    runs = [monotone_coupled_run(star, 100_000, UpdateStream(star, 12, chain_id=1))]
+    clamp = np.zeros(80, dtype=np.int8)
+    clamp[1::9] = 1
+    clamp[4::13] = -1
+    clamped = make_model(er.with_vertex_data(clamp=clamp))
+    runs.append(monotone_coupled_run(clamped, 50_000, UpdateStream(clamped, 3, chain_id=2)))
+    assert all(r.coupled for r in runs)
+    assert out["coupled"] == [[r.coupled, r.steps, [list(c) for c in r.checkpoints]]
+                              for r in runs]
+    m = make_model(er)
+    chain = run_chain(m, all_minus(m), 1000, UpdateStream(m, 4))
+    assert out["chain"] == chain.tolist()
 
     trace = out["trace"]
     assert trace["cli.decay-scan"]["calls"] == 1
