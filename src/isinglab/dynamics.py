@@ -77,14 +77,14 @@ def run_chain(m: IsingModel, s0: np.ndarray, steps: int, stream: UpdateStream) -
     s = spins_array(s0).copy()
     if not respects_clamps(m, s):
         raise ValueError("initial configuration violates a clamp")
-    indptr, indices, weights = m.graph.csr_lists
+    adjacency = m.graph.adjacency
     h = m.graph.h.tolist()
     p_lo, p_hi = m.graph.plus_prob_bounds
     done = 0
     while done < steps:
         k = min(_STEP_BLOCK, steps - done)
         vs, us = stream.next_updates(k)
-        kernels.chain_steps(indptr, indices, weights, h, s, vs, us, p_lo, p_hi)
+        kernels.chain_steps(adjacency, h, p_lo, p_hi, s, vs, us)
         done += k
     return s
 

@@ -44,25 +44,18 @@ class WeightedGraph:
         return self.indices.shape[0] // 2
 
     @cached_property
-    def csr_lists(self) -> tuple[list[int], list[int], list[float]]:
-        """(indptr, indices, weights) as Python lists, built on first use.
-
-        Python loops read list items much faster than numpy scalars.  The
-        lists are cached in the instance ``__dict__``, so fields, equality
-        and frozenness are unaffected; callers must not mutate them.
-        """
-        return self.indptr.tolist(), self.indices.tolist(), self.weights.tolist()
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """``adjacency[v]``: v's (neighbour, coupling) pairs, built on first use.
 
-        One tuple per vertex lets a Python loop walk a neighbourhood without
-        indexing three lists; the pairs keep the CSR order, so sums over
-        them add the same terms in the same order as sums over the CSR rows.
+        Python loops read tuple items as plain ints and floats, much faster
+        than numpy scalars, and one tuple per vertex walks a neighbourhood
+        without indexing three lists.  The pairs keep the CSR order, so sums
+        over them add the same terms in the same order as sums over the CSR
+        rows.  The tuples are cached in the instance ``__dict__``, so
+        fields, equality and frozenness are unaffected.
         """
-        indptr, indices, weights = self.csr_lists
-        pairs = list(zip(indices, weights))
+        indptr = self.indptr.tolist()
+        pairs = list(zip(self.indices.tolist(), self.weights.tolist()))
         return tuple(tuple(pairs[indptr[v]:indptr[v + 1]]) for v in range(self.n))
 
     @cached_property
@@ -312,15 +305,16 @@ def ball_excesses(g: WeightedGraph, radius: int) -> np.ndarray:
     """Cycle excess of every vertex's radius-``radius`` ball, by counting.
 
     Entry v equals ``tree_excess(ball(g, v, radius).subgraph)``, but no
-    subgraph is built: a BFS over ``csr_lists`` counts the ball's vertices
-    and its induced edges.  Every neighbour of a vertex at distance below
-    ``radius`` lies in the ball, so the edge count is half of those
-    vertices' degree sum plus the in-ball neighbours of the sphere.  One
-    stamp list, marking membership by center id, serves every center.
+    subgraph is built: a BFS over ``adjacency`` rows counts the ball's
+    vertices and its induced edges.  Every neighbour of a vertex at
+    distance below ``radius`` lies in the ball, so the edge count is half
+    of those vertices' degree sum plus the in-ball neighbours of the
+    sphere.  One stamp list, marking membership by center id, serves every
+    center.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    indptr, indices, _ = g.csr_lists
+    adjacency = g.adjacency
     stamp = [-1] * g.n
     out = np.empty(g.n, dtype=np.int64)
     for v in range(g.n):
@@ -331,68 +325,20 @@ def ball_excesses(g: WeightedGraph, radius: int) -> np.ndarray:
         for _ in range(radius):
             nxt = []
             for u in frontier:
-                lo, hi = indptr[u], indptr[u + 1]
-                half_edges += hi - lo
-                for w in indices[lo:hi]:
+                row = adjacency[u]
+                half_edges += len(row)
+                for w, _ in row:
                     if stamp[w] != v:
                         stamp[w] = v
                         nxt.append(w)
             size += len(nxt)
             frontier = nxt
         for u in frontier:
-            for w in indices[indptr[u]:indptr[u + 1]]:
+            for w, _ in adjacency[u]:
                 if stamp[w] == v:
                     half_edges += 1
         out[v] = half_edges // 2 - size + 1
     return out
-
-
-def path_density(b: Ball, l: int | None = None, budget: int = DEFAULT_VISIT_BUDGET) -> int:
-    """Largest degree sum along a self-avoiding path from the ball's center.
-
-    Paths start at the center, stay inside the ball, and use at most ``l``
-    edges (default: the ball radius).  Degrees are taken inside the ball.
-    Exhaustive depth-first search; raises BudgetError past ``budget`` path
-    extensions.
-    """
-    if l is None:
-        l = b.radius
-    if l < 0:
-        raise ValueError("path length bound must be >= 0")
-    sub = b.subgraph
-    deg = sub.degrees()
-    visited = np.zeros(sub.n, dtype=bool)
-    visited[0] = True
-    best = total = int(deg[0])
-    visits = 0
-    # stack of (vertex, iterator position into its neighbor slice)
-    stack = [(0, int(sub.indptr[0]))]
-    while stack:
-        u, ptr = stack[-1]
-        end = int(sub.indptr[u + 1])
-        advanced = False
-        while ptr < end:
-            w = int(sub.indices[ptr])
-            ptr += 1
-            if not visited[w] and len(stack) <= l:
-                stack[-1] = (u, ptr)
-                visited[w] = True
-                total += int(deg[w])
-                if total > best:
-                    best = total
-                visits += 1
-                if visits > budget:
-                    raise BudgetError(
-                        f"path enumeration exceeded {budget} extensions"
-                    )
-                stack.append((w, int(sub.indptr[w])))
-                advanced = True
-                break
-        if not advanced:
-            visited[u] = False
-            total -= int(deg[u])
-            stack.pop()
-    return best
 
 
 def tree_path_density(tree: RootedTree, max_depth: int | None = None) -> int:

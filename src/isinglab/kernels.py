@@ -4,18 +4,16 @@ A Python loop reads list items and memoryview items as plain ints and
 floats, while indexing a numpy array boxes a numpy scalar on every read.
 So each kernel copies the state it rewrites into a list once per call,
 walks its read-only arrays through memoryviews, and writes the state
-back before it returns.  The chain kernel reads the CSR arrays, passed
-as lists (``WeightedGraph.csr_lists``, the fast path) or as numpy
-arrays; the coupled kernel reads the per-vertex (neighbour, coupling)
-tuples of ``WeightedGraph.adjacency``, in the same CSR order, and stops
-at the update where its two chains meet.  Both dynamics kernels first
-test the uniform against per-vertex bounds on the + probability
+back before it returns.  Both dynamics kernels read a vertex's
+neighbourhood from the per-vertex (neighbour, coupling) tuples of
+``WeightedGraph.adjacency``, in CSR order; the coupled kernel also stops
+at the update where its two chains meet.  Both first test the uniform
+against per-vertex bounds on the + probability
 (``WeightedGraph.plus_prob_bounds``) and read no neighbour for a draw
-the bounds decide.  Fields may be ``h.tolist()``
-or an array.  Float and int arithmetic on the same doubles gives the
-same bits either way, and every kernel keeps ``math.exp``/``tanh``/
-``atanh`` in a fixed order of operations, so results do not depend on
-the container.
+the bounds decide.  Fields may be ``h.tolist()`` or an array.  Float and
+int arithmetic on the same doubles gives the same bits either way, and
+every kernel keeps ``math.exp``/``tanh``/``atanh`` in a fixed order of
+operations, so results do not depend on the container.
 """
 
 from __future__ import annotations
@@ -32,16 +30,18 @@ def backend() -> str:
     return "python"
 
 
-def chain_steps(indptr, indices, weights, h, spins, v_arr, u_arr, p_lo, p_hi):
+def chain_steps(adjacency, h, p_lo, p_hi, spins, v_arr, u_arr):
     """Apply len(v_arr) single-site heat-bath updates to spins, in place.
 
     At update t the site v = v_arr[t] is redrawn from its conditional
-    given the rest: + with probability p = logistic(2 * local field).
+    given the rest: + with probability p = logistic(2 * local field), the
+    field being h[v] plus w * s over ``adjacency[v]``'s (neighbour,
+    coupling) pairs (``WeightedGraph.adjacency``) in row order.
     ``p_lo``/``p_hi`` bound p over every state of v's neighbours
-    (``WeightedGraph.plus_prob_bounds`` for these weights and fields), so
+    (``WeightedGraph.plus_prob_bounds`` for these couplings and fields), so
     u <= p_lo[v] sets + and u > p_hi[v] sets - before any neighbour is
-    read.  The bounds' fields are summed in this kernel's row order and
-    rounding is monotone, and their 1e-12 margin covers ``np.exp`` against
+    read.  The bounds' fields are summed in this row order and rounding is
+    monotone, and their 1e-12 margin covers ``np.exp`` against
     ``math.exp`` and the logistic's ulp-level non-monotonicity, so a draw
     they decide takes the spin the full path would.
     """
@@ -54,8 +54,8 @@ def chain_steps(indptr, indices, weights, h, spins, v_arr, u_arr, p_lo, p_hi):
             s[v] = -1
         else:
             f = h[v]
-            for j in range(indptr[v], indptr[v + 1]):
-                f += weights[j] * s[indices[j]]
+            for x, w in adjacency[v]:
+                f += w * s[x]
             if f >= 0.0:
                 p = 1.0 / (1.0 + exp(-2.0 * f))
             else:

@@ -8,9 +8,10 @@ bracketed by the free-boundary pinning gap, so the output law is within
 
     sum_i |boundary(v_i, L)| * tanh(beta_max)^L
 
-of the target in total variation.  The radius needed for a prescribed
-polynomial accuracy grows like a constant times log n; see
-:func:`sufficient_radius_factor`.
+of the target in total variation.  When b * tanh(beta) < 1, b bounding
+the per-level growth of walk-tree boundaries, that sum falls below
+n^-gamma at L = (1 + gamma) log n / -log(b tanh beta): the radius grows
+like a constant times log n, and :func:`radius_for` rounds it up.
 
 A walk tree depends only on the graph, its root and L, so each free
 vertex's tree is built once, all of them in one forest build over the
@@ -126,22 +127,6 @@ def truncation_tv_bound(m: IsingModel, depth_limit: int,
     for st in build_saw_trees(m.graph, m.graph.free_vertices(), depth_limit, max_nodes):
         total += st.boundary.size * decay
     return total
-
-
-def sufficient_radius_factor(b: float, beta: float, gamma: float) -> float:
-    """Radius-per-log-n factor giving an n^-gamma truncation error.
-
-    Valid when b * tanh(beta) < 1, where b bounds the per-level growth of
-    walk-tree boundaries; the walk-tree boundary term then decays like
-    (b tanh beta)^L and L = factor * log n forces it below n^-gamma after
-    the union over n chained steps.
-    """
-    if b < 1.0 or beta <= 0.0 or gamma <= 0.0:
-        raise ValueError("need b >= 1, beta > 0, gamma > 0")
-    rate = -math.log(b * math.tanh(beta))
-    if rate <= 0.0:
-        raise ValueError("b * tanh(beta) must be < 1 for radius to be sufficient")
-    return (1.0 + gamma) / rate
 
 
 def radius_for(n: int, factor: float) -> int:

@@ -38,14 +38,12 @@ from .dynamics import (
 from .errors import MonotonicityError
 from .graph import (
     WeightedGraph,
-    ball,
     ball_excesses,
     cycle_graph,
     generate_erdos_renyi,
     generate_galton_watson,
     graph_from_edges,
     make_rooted_tree,
-    path_density,
     path_graph,
     star_graph,
     tree_as_graph,
@@ -299,10 +297,11 @@ def enumerate_tree_shapes(max_n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def min_root_path_density(g: WeightedGraph) -> int:
-    """Smallest over roots of the maximal degree-sum path from that root."""
-    return min(
-        path_density(ball(g, r, g.n), g.n) for r in range(g.n)
-    )
+    """Smallest over roots of the maximal degree-sum path from that root.
+
+    On a tree the walk tree from r is the tree rooted at r.
+    """
+    return min(tree_path_density(st.tree) for st in build_saw_trees(g, range(g.n), g.n))
 
 
 @_timed

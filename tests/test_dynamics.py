@@ -58,7 +58,7 @@ def test_update_stream_sites_are_free_vertices():
     assert set(np.unique(v)) <= {1, 2, 3, 4}
 
 
-def chain_steps_counted(indptr, indices, weights, h, spins, v_arr, u_arr, thin, counts):
+def chain_steps_counted(adjacency, h, spins, v_arr, u_arr, thin, counts):
     """``kernels.chain_steps`` plus an occupation count, over list-form state.
 
     Every ``thin``-th update the bitmask index of the current configuration
@@ -69,8 +69,8 @@ def chain_steps_counted(indptr, indices, weights, h, spins, v_arr, u_arr, thin, 
     since = 0
     for v, u in zip(memoryview(v_arr), memoryview(u_arr)):
         f = h[v]
-        for j in range(indptr[v], indptr[v + 1]):
-            f += weights[j] * s[indices[j]]
+        for x, w in adjacency[v]:
+            f += w * s[x]
         if f >= 0.0:
             p = 1.0 / (1.0 + math.exp(-2.0 * f))
         else:
@@ -93,7 +93,7 @@ def empirical_distribution(m, s0, steps, thin, stream):
     Updates come in blocks of 2^16; the thinning phase restarts with each
     block.
     """
-    indptr, indices, weights = m.graph.csr_lists
+    adjacency = m.graph.adjacency
     h = m.graph.h.tolist()
     s = np.array(s0, dtype=np.int8)
     counts = [0] * (1 << m.n)
@@ -101,7 +101,7 @@ def empirical_distribution(m, s0, steps, thin, stream):
     while done < steps:
         k = min(1 << 16, steps - done)
         vs, us = stream.next_updates(k)
-        chain_steps_counted(indptr, indices, weights, h, s, vs, us, thin, counts)
+        chain_steps_counted(adjacency, h, s, vs, us, thin, counts)
         done += k
     freq = np.array(counts, dtype=np.float64)
     return ExactDistribution(m.n, freq / freq.sum(), None)

@@ -7,6 +7,8 @@ import pytest
 
 from isinglab.errors import BudgetError
 from isinglab.graph import (
+    DEFAULT_VISIT_BUDGET,
+    Ball,
     ball,
     ball_excesses,
     cycle_graph,
@@ -14,7 +16,6 @@ from isinglab.graph import (
     generate_galton_watson,
     graph_from_edges,
     make_rooted_tree,
-    path_density,
     path_graph,
     read_graph,
     star_graph,
@@ -170,12 +171,15 @@ def test_ball_induced_includes_chords():
     assert tree_excess(b.subgraph) == 1
 
 
-def test_csr_lists_cached_and_equal_to_arrays():
+def test_adjacency_cached_and_equal_to_arrays():
     g = generate_erdos_renyi(40, 2.5, seed=6, beta=0.3)
-    lists = g.csr_lists
-    assert lists == (g.indptr.tolist(), g.indices.tolist(), g.weights.tolist())
-    assert g.csr_lists is lists
-    assert g.with_vertex_data(h=np.ones(g.n)).csr_lists == lists
+    adjacency = g.adjacency
+    assert len(adjacency) == g.n
+    for v, row in enumerate(adjacency):
+        lo, hi = g.indptr[v], g.indptr[v + 1]
+        assert row == tuple(zip(g.indices[lo:hi].tolist(), g.weights[lo:hi].tolist()))
+    assert g.adjacency is adjacency
+    assert g.with_vertex_data(h=np.ones(g.n)).adjacency == adjacency
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.n = 3
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -203,6 +207,55 @@ def test_ball_excesses_match_ball_subgraphs():
     assert ball_excesses(cycle_graph(7), 3).tolist() == [1] * 7
     with pytest.raises(ValueError):
         ball_excesses(path_graph(4), -1)
+
+
+def path_density(b: Ball, l: int | None = None, budget: int = DEFAULT_VISIT_BUDGET) -> int:
+    """Largest degree sum along a self-avoiding path from the ball's center.
+
+    Paths start at the center, stay inside the ball, and use at most ``l``
+    edges (default: the ball radius).  Degrees are taken inside the ball.
+    Exhaustive depth-first search; raises BudgetError past ``budget`` path
+    extensions.  On a tree ball it is the reference for
+    ``tree_path_density``.
+    """
+    if l is None:
+        l = b.radius
+    if l < 0:
+        raise ValueError("path length bound must be >= 0")
+    sub = b.subgraph
+    deg = sub.degrees()
+    visited = np.zeros(sub.n, dtype=bool)
+    visited[0] = True
+    best = total = int(deg[0])
+    visits = 0
+    # stack of (vertex, iterator position into its neighbor slice)
+    stack = [(0, int(sub.indptr[0]))]
+    while stack:
+        u, ptr = stack[-1]
+        end = int(sub.indptr[u + 1])
+        advanced = False
+        while ptr < end:
+            w = int(sub.indices[ptr])
+            ptr += 1
+            if not visited[w] and len(stack) <= l:
+                stack[-1] = (u, ptr)
+                visited[w] = True
+                total += int(deg[w])
+                if total > best:
+                    best = total
+                visits += 1
+                if visits > budget:
+                    raise BudgetError(
+                        f"path enumeration exceeded {budget} extensions"
+                    )
+                stack.append((w, int(sub.indptr[w])))
+                advanced = True
+                break
+        if not advanced:
+            visited[u] = False
+            total -= int(deg[u])
+            stack.pop()
+    return best
 
 
 def test_path_density_matches_tree_density_on_trees():

@@ -16,15 +16,11 @@ def test_chain_steps_respects_conditional():
     spins = np.array([1, -1, 1], dtype=np.int8)
     v_arr = np.zeros(1, dtype=np.int64) + 1
     p_plus = 1.0 / (1.0 + np.exp(-2.0 * 1.4))
-    kernels.chain_steps(
-        g.indptr, g.indices, g.weights, g.h, spins, v_arr,
-        np.array([p_plus - 1e-12]), *g.plus_prob_bounds,
-    )
+    kernels.chain_steps(g.adjacency, g.h, *g.plus_prob_bounds, spins, v_arr,
+                        np.array([p_plus - 1e-12]))
     assert spins[1] == 1
-    kernels.chain_steps(
-        g.indptr, g.indices, g.weights, g.h, spins, v_arr,
-        np.array([p_plus + 1e-12]), *g.plus_prob_bounds,
-    )
+    kernels.chain_steps(g.adjacency, g.h, *g.plus_prob_bounds, spins, v_arr,
+                        np.array([p_plus + 1e-12]))
     assert spins[1] == -1
 
 
@@ -39,8 +35,6 @@ def test_logistic_tails_are_stable():
         assert np.isfinite(f)
     g = graph_from_edges(2, [(0, 1, 1.0)], h=[900.0, -900.0])
     spins = np.array([1, -1], dtype=np.int8)
-    kernels.chain_steps(
-        g.indptr, g.indices, g.weights, g.h, spins,
-        np.array([0, 1], dtype=np.int64), np.array([0.5, 0.5]), *g.plus_prob_bounds,
-    )
+    kernels.chain_steps(g.adjacency, g.h, *g.plus_prob_bounds, spins,
+                        np.array([0, 1], dtype=np.int64), np.array([0.5, 0.5]))
     assert spins[0] == 1 and spins[1] == -1

@@ -128,7 +128,7 @@ def _reference_expand(g, v, depth_limit, max_nodes):
     tree from v in discovery order, raising BudgetError on the node past
     ``max_nodes``.
     """
-    indptr, indices, weights = g.csr_lists
+    adjacency = g.adjacency
     on_walk = {v: 0}  # vertex -> its depth on the current walk
     walk = [v] + [-1] * depth_limit  # walk[j] = vertex at depth j
 
@@ -139,15 +139,15 @@ def _reference_expand(g, v, depth_limit, max_nodes):
     fixed = [0]
     count = 1
 
-    # stack entries: [tree node, vertex, next CSR pointer, walk depth]
-    stack = [[0, v, indptr[v], 0]] if depth_limit > 0 else []
+    # stack entries: [tree node, vertex, next row position, walk depth]
+    stack = [[0, v, 0, 0]] if depth_limit > 0 else []
     while stack:
         top = stack[-1]
         node, u, ptr, dep = top
-        end = indptr[u + 1]
+        row = adjacency[u]
         back = walk[dep - 1] if dep > 0 else -1
-        while ptr < end:
-            x = indices[ptr]
+        while ptr < len(row):
+            x, b = row[ptr]
             ptr += 1
             if x != back:  # an immediate backtrack is not a walk extension
                 break
@@ -169,11 +169,11 @@ def _reference_expand(g, v, depth_limit, max_nodes):
             if dep + 1 < depth_limit:
                 on_walk[x] = dep + 1
                 walk[dep + 1] = x
-                stack.append([count - 1, x, indptr[x], dep + 1])
+                stack.append([count - 1, x, 0, dep + 1])
         parent.append(node)
         depth.append(dep + 1)
         label.append(x)
-        ebeta.append(weights[ptr - 1])
+        ebeta.append(b)
         fixed.append(pin)
     return (np.array(parent, dtype=np.int64), np.array(depth, dtype=np.int64),
             np.array(label, dtype=np.int64), np.array(ebeta, dtype=np.float64),
@@ -578,7 +578,7 @@ def test_list_kernels_match_numpy_reference(g, data):
     spin_pairs = data.draw(st.lists(st.tuples(spin, spin), min_size=n, max_size=n))
     a = np.where(g.clamp != 0, g.clamp, [x for x, _ in spin_pairs]).astype(np.int8)
     b = np.where(g.clamp != 0, g.clamp, [y for _, y in spin_pairs]).astype(np.int8)
-    lists = (indptr.tolist(), indices.tolist(), weights.tolist(), h.tolist())
+    adjacency, h_list = g.adjacency, h.tolist()
     upper, lower = np.maximum(a, b), np.minimum(a, b)
     ham = int(np.count_nonzero(upper != lower))
 
@@ -590,10 +590,10 @@ def test_list_kernels_match_numpy_reference(g, data):
     trivial = ([-1.0] * n, [2.0] * n)  # decide no draw
     for bounds in (g.plus_prob_bounds, trivial):
         got = a.copy()
-        kernels.chain_steps(*lists, got, v_arr, u_arr, *bounds)
+        kernels.chain_steps(adjacency, h_list, *bounds, got, v_arr, u_arr)
         assert got.tolist() == want.tolist()
         got_up, got_lo = upper.copy(), lower.copy()
-        got_ret = kernels.coupled_steps(g.adjacency, h.tolist(), got_up, got_lo, ham,
+        got_ret = kernels.coupled_steps(adjacency, h_list, got_up, got_lo, ham,
                                         v_arr, u_arr, *bounds)
         assert got_ret == want_ret
         assert got_up.tolist() == want_up.tolist()
@@ -602,7 +602,7 @@ def test_list_kernels_match_numpy_reference(g, data):
     thin = data.draw(st.integers(1, 4))
     got, want = a.copy(), a.copy()
     got_counts, want_counts = [0] * (1 << n), np.zeros(1 << n, dtype=np.int64)
-    chain_steps_counted(*lists, got, v_arr, u_arr, thin, got_counts)
+    chain_steps_counted(adjacency, h_list, got, v_arr, u_arr, thin, got_counts)
     _ref_chain_steps_counted(indptr, indices, weights, h, want, v_arr, u_arr, thin, want_counts)
     assert got.tolist() == want.tolist()
     assert got_counts == want_counts.tolist()
@@ -639,7 +639,6 @@ def test_bounds_hold_on_the_knife_edge(g, data):
     upper = np.array([max(x, y) for x, y in spin_pairs], dtype=np.int8)
     lower = np.array([min(x, y) for x, y in spin_pairs], dtype=np.int8)
     ham = int(np.count_nonzero(upper != lower))
-    lists = g.csr_lists + (h,)
     for v in range(n):
         v_arr = np.array([v], dtype=np.int64)
         edges = set()
@@ -650,7 +649,7 @@ def test_bounds_hold_on_the_knife_edge(g, data):
             u_arr = np.array([u])
             for start in (upper, lower):
                 got, want = start.copy(), start.copy()
-                kernels.chain_steps(*lists, got, v_arr, u_arr, p_lo, p_hi)
+                kernels.chain_steps(g.adjacency, h, p_lo, p_hi, got, v_arr, u_arr)
                 _ref_chain_steps(g.indptr, g.indices, g.weights, g.h, want, v_arr, u_arr)
                 assert got.tolist() == want.tolist(), (v, u.hex())
             got_up, got_lo, want_up, want_lo = upper.copy(), lower.copy(), upper.copy(), lower.copy()
@@ -687,7 +686,6 @@ def test_coupled_kernel_runs_a_block_from_equal_states_in_full():
     # the post-meeting audit's call: from distance 0 the distance never
     # falls to 0, so every pair is applied, as the single chain applies it
     m = make_model(generate_erdos_renyi(40, 2.0, 7, beta=0.4))
-    indptr, indices, weights = m.graph.csr_lists
     h = m.graph.h.tolist()
     bounds = m.graph.plus_prob_bounds
     start = all_minus(m)
@@ -695,14 +693,13 @@ def test_coupled_kernel_runs_a_block_from_equal_states_in_full():
     vs, us = UpdateStream(m, 11).next_updates(1024)
     upper, lower, single = start.copy(), start.copy(), start.copy()
     got = kernels.coupled_steps(m.graph.adjacency, h, upper, lower, 0, vs, us, *bounds)
-    kernels.chain_steps(indptr, indices, weights, h, single, vs, us, *bounds)
+    kernels.chain_steps(m.graph.adjacency, h, *bounds, single, vs, us)
     assert got == (0, -1, -1)
     assert upper.tolist() == lower.tolist() == single.tolist() != start.tolist()
 
 
 def test_coupled_kernel_leaves_pairs_after_the_meeting_unapplied():
     m = make_model(path_graph(8, 0.5))
-    indptr, indices, weights = m.graph.csr_lists
     h = m.graph.h.tolist()
     bounds = m.graph.plus_prob_bounds
     vs, us = UpdateStream(m, 5).next_updates(1 << 14)
@@ -713,15 +710,15 @@ def test_coupled_kernel_leaves_pairs_after_the_meeting_unapplied():
     assert 0 <= k < vs.shape[0] - 1
     # both chains stand where pairs 0..k leave them, and nowhere later
     up_k, lo_k = all_plus(m), all_minus(m)
-    kernels.chain_steps(indptr, indices, weights, h, up_k, vs[:k + 1], us[:k + 1], *bounds)
-    kernels.chain_steps(indptr, indices, weights, h, lo_k, vs[:k + 1], us[:k + 1], *bounds)
+    kernels.chain_steps(m.graph.adjacency, h, *bounds, up_k, vs[:k + 1], us[:k + 1])
+    kernels.chain_steps(m.graph.adjacency, h, *bounds, lo_k, vs[:k + 1], us[:k + 1])
     assert upper.tolist() == up_k.tolist() == lower.tolist() == lo_k.tolist()
     # k is the first agreement, and the pairs after it would have moved the state
     up_prev, lo_prev = all_plus(m), all_minus(m)
-    kernels.chain_steps(indptr, indices, weights, h, up_prev, vs[:k], us[:k], *bounds)
-    kernels.chain_steps(indptr, indices, weights, h, lo_prev, vs[:k], us[:k], *bounds)
+    kernels.chain_steps(m.graph.adjacency, h, *bounds, up_prev, vs[:k], us[:k])
+    kernels.chain_steps(m.graph.adjacency, h, *bounds, lo_prev, vs[:k], us[:k])
     assert up_prev.tolist() != lo_prev.tolist()
-    kernels.chain_steps(indptr, indices, weights, h, up_k, vs[k + 1:], us[k + 1:], *bounds)
+    kernels.chain_steps(m.graph.adjacency, h, *bounds, up_k, vs[k + 1:], us[k + 1:])
     assert up_k.tolist() != upper.tolist()
 
 

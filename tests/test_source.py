@@ -1,6 +1,7 @@
 """Static checks over the package source, for want of an installed linter."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +43,55 @@ def test_src_has_no_unused_imports():
 
 def test_tests_have_no_unused_imports():
     assert _files_with_unused_imports(ROOT / "tests") == {}
+
+
+# Public names that no module of the package loads, each with the file
+# outside ``src/`` that looks it up.
+KEPT = {
+    "ball": "perfbench/spans.py",
+    "tree_excess": "perfbench/spans.py",
+    "saw_tree_size": "perfbench/spans.py",
+    "algorithm1_sample": "perfbench/spans.py",
+    "run_chain": "perfbench/task.py",
+    "HAVE_NUMBA": "perfbench/task.py",
+    "backend": "perfbench/task.py",
+    "saw_marginal_bracket": "README.md",
+}
+
+
+def _loaded_names(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+    return names
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_every_public_name_in_src_has_a_caller():
+    # top-level statements of every module, each with the names it loads
+    statements = []
+    for path in sorted((ROOT / "src" / "isinglab").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            statements.append((node, _loaded_names(node)))
+    unused = set()
+    for node, _ in statements:
+        for name in _defined_names(node):
+            if not name.startswith("_") and not any(
+                name in loads for other, loads in statements if other is not node
+            ):
+                unused.add(name)
+    assert unused == set(KEPT)
+    for name, holder in KEPT.items():
+        assert re.search(rf"\b{name}\b", (ROOT / holder).read_text()), (name, holder)
