@@ -47,8 +47,7 @@ from .graph import (
 from .model import clamp_large_fields, make_model
 from .rng import substream
 from .sampler import algorithm1_samples, radius_for
-from .sawtree import saw_trees_at_radii, tree_model
-from .treecalc import boundary_influence
+from .sawtree import saw_brackets_at_radii
 from .verify import (
     DEFAULT_MASTER_SEED,
     at_least,
@@ -384,16 +383,14 @@ def cmd_decay_scan(args) -> int:
     lines = config_echo_lines(cfg)
     lines.append("v,l,influence,sphere_size,bound,status")
     for v in vertices:
-        trees = saw_trees_at_radii(g, v, sec["radii"], sec["max_nodes"])
-        for l, st in zip(sec["radii"], trees):
-            if st is None:
+        rows = saw_brackets_at_radii(m, v, sec["radii"], sec["max_nodes"], g.clamp)
+        for l, row in zip(sec["radii"], rows):
+            if row is None:
                 lines.append(f"{v},{l},nan,0,nan,budget")
                 continue
-            influence = boundary_influence(tree_model(st, m, g.clamp), l)
-            sphere = int(st.boundary.size)
+            (lo, hi), sphere = row
             bound = sphere * math.tanh(m.beta_max) ** l
-            lines.append(f"{v},{l},{_fmt(influence)},{sphere},{_fmt(bound)},ok")
-        trees = st = None  # free this vertex's trees before the next one grows
+            lines.append(f"{v},{l},{_fmt(hi - lo)},{sphere},{_fmt(bound)},ok")
     _emit(args.output, lines)
     return 0
 

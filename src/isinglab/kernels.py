@@ -1,4 +1,4 @@
-"""Hot inner loops in plain Python over list-form state.
+"""Hot inner loops in plain Python over list-form state, and the bracket fold.
 
 A Python loop reads list items and memoryview items as plain ints and
 floats, while indexing a numpy array boxes a numpy scalar on every read.
@@ -11,15 +11,19 @@ at the update where its two chains meet.  Both first test the uniform
 against per-vertex bounds on the + probability
 (``WeightedGraph.plus_prob_bounds``) and read no neighbour for a draw
 the bounds decide.  Fields may be ``h.tolist()`` or an array.  Float and
-int arithmetic on the same doubles gives the same bits either way, and
-every kernel keeps ``math.exp``/``tanh``/``atanh`` in a fixed order of
-operations, so results do not depend on the container.
+int arithmetic on the same doubles gives the same bits in Python and in
+numpy, and every kernel keeps ``math.exp``/``tanh``/``atanh`` in a fixed
+order of operations, so results do not depend on the container.  The
+bracket fold runs a tree level at a time and maps ``math.tanh``/``atanh``
+over each level, leaving only products, clips and sums to numpy.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import count
+
+import numpy as np
 
 # perfbench/ records the backend of every run; pure Python is the only one
 HAVE_NUMBA = False
@@ -173,34 +177,44 @@ def tree_root_field(parent, edge_beta, h_node, clamp_node):
     return field[0]
 
 
-def tree_bracket_fields(parent, edge_beta, h_node, clamp_node, sphere):
-    """(lower, upper) root fields with the ``sphere`` nodes pinned - and +.
+def tree_bracket_levels(levels, l):
+    """(lower, upper) root fields with the free depth-l nodes pinned - and +.
 
-    ``sphere`` marks free nodes, one bool per node.  One descending pass
-    gives each end the bits of its own :func:`tree_root_field` fold: the
-    ends share one tanh(edge_beta) per node, and the upper end reuses the
-    lower end's contribution where their fields are equal and nonzero
-    (-0.0 == 0.0, yet the two contribute zeros of opposite sign).
+    ``levels[k]`` is (parent, edge_beta, h, clamp) over the depth-k nodes,
+    parent indexing ``levels[k - 1]``, each parent's children ascending.
+    Levels past l are screened and not read; with no level l nothing is
+    pinned, and at l = 0 the free root is pinned by fields -inf and +inf.
+    Each end gets the bits of its own :func:`tree_root_field` fold:
+    ``np.add.at`` adds each parent's children in descending order, and the
+    upper end reuses the lower end's contribution where their fields are
+    equal and nonzero (-0.0 == 0.0, yet they contribute opposite zeros).
     """
+    if l == 0:
+        return -math.inf, math.inf
     tanh, atanh = math.tanh, math.atanh
-    hi, lo = 1.0 - 1e-15, -1.0 + 1e-15
-    par, beta, clamp, pin = map(memoryview, (parent, edge_beta, clamp_node, sphere))
-    low = memoryview(h_node.astype("float64"))
-    up = memoryview(h_node.astype("float64"))
-    for i in range(par.shape[0] - 1, 0, -1):
-        b, c, p = beta[i], clamp[i], par[i]
-        if c or pin[i]:  # the same pin at both ends, or - below and + above
-            low[p] += b if c > 0 else -b
-            up[p] += b if c >= 0 else -b
-            continue
-        tb = tanh(b)
-        f = low[i]
-        x = tb * tanh(f)
-        contrib = atanh(hi if x > hi else lo if x < lo else x)
-        low[p] += contrib
-        g = up[i]
-        if g != f or not f:
-            x = tb * tanh(g)
-            contrib = atanh(hi if x > hi else lo if x < lo else x)
-        up[p] += contrib
-    return low[0], up[0]
+
+    def fold(tb, f):  # atanh(tb * tanh(f)), clipped as in tree_root_field
+        x = np.clip(tb * np.fromiter(map(tanh, f.tolist()), np.float64, f.size),
+                    -1.0 + 1e-15, 1.0 - 1e-15)
+        return np.fromiter(map(atanh, x.tolist()), np.float64, x.size)
+
+    top = min(l, len(levels) - 1)
+    low = up = np.asarray(levels[top][2], dtype=np.float64)
+    for k in range(top, 0, -1):
+        par, beta, _, clamp = levels[k]
+        low_c = np.where(clamp > 0, beta, -beta)
+        # pinned nodes give both ends their pin; free sphere nodes give - and +
+        up_c = np.where(clamp >= 0 if k == l else clamp > 0, beta, -beta)
+        if k < l:
+            free = np.flatnonzero(clamp == 0)
+            tb = np.fromiter(map(tanh, beta[free].tolist()), np.float64, free.size)
+            f, g = low[free], up[free]
+            low_c[free] = contrib = fold(tb, f)
+            redo = np.flatnonzero((g != f) | (f == 0.0))
+            contrib[redo] = fold(tb[redo], g[redo])
+            up_c[free] = contrib
+        low = np.array(levels[k - 1][2], dtype=np.float64)
+        up = low.copy()
+        np.add.at(low, par[::-1], low_c[::-1])
+        np.add.at(up, par[::-1], up_c[::-1])
+    return float(low[0]), float(up[0])

@@ -21,9 +21,10 @@ Trees are built level by level in numpy, many roots per level pass: each
 level's children come from the CSR rows of the walks that continue, a
 closure is found by chasing each child's ancestors, and the nodes are
 then numbered in the depth-first preorder a recursive walk would give
-(children in ascending neighbor order).  Per-root node counts are known
-before a level is built, so a node budget is enforced without building
-the level that would pass it.  Roots share passes in chunks of at most
+(children in ascending neighbor order); :func:`saw_brackets_at_radii`
+folds the levels unnumbered.  Per-root node counts are known before a
+level is built, so a node budget is enforced without building the
+level that would pass it.  Roots share passes in chunks of at most
 CHUNK_NODES nodes, so memory follows the chunk, or the budget for a tree
 larger than a chunk.
 """
@@ -35,9 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import BudgetError, ConditioningError
 from .graph import RootedTree, WeightedGraph, make_rooted_tree
-from .model import IsingModel, merge_conditioning
+from .model import IsingModel, merge_conditioning, plus_prob
 from .treecalc import TreeModel, boundary_bracket, root_marginal
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -85,22 +87,28 @@ def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
         yield from _preorder_trees(levels, counts, depth_limit)
 
 
-def saw_trees_at_radii(g: WeightedGraph, v: int, radii, max_nodes: int) -> list[SawTree | None]:
-    """Walk trees of v at each radius, in the order given, from one growth.
+def saw_brackets_at_radii(m: IsingModel, v: int, radii, max_nodes: int,
+                          pins: np.ndarray) -> list[tuple[tuple[float, float], int] | None]:
+    """v's walk-tree bracket and sphere size at each radius, from one growth.
 
-    Each is the tree :func:`build_saw_tree` builds, or None where that call
-    would raise BudgetError.
+    Entry i is ``(boundary_bracket(tree_model(st, m, pins), l),
+    st.boundary.size)`` for st = ``build_saw_tree(m.graph, v, l, max_nodes)``
+    at l = radii[i], or None where that raises BudgetError; radius l folds
+    the grown levels 0..l.  Raises ConditioningError when v is pinned and
+    some radius fits.
     """
+    g = m.graph
     radii = [int(l) for l in radii]
     roots = _check_roots(g, [v], min(radii, default=0))
     levels, _, reached = _grow_forest(g, roots, max(radii, default=0), max_nodes, False)
-    fits = {l for l in radii if l <= reached}
-    del levels[max(fits, default=0) + 1:]
-    trees = {}
-    for l in fits:
-        cut = levels[:l + 1]
-        trees[l] = next(_preorder_trees(cut, np.array([sum(lv[0].size for lv in cut)]), l))
-    return [trees.get(l) for l in radii]
+    if pins[v] != 0 and any(l <= reached for l in radii):
+        raise ConditioningError(f"query vertex {v} is pinned")
+    cols = [(par, beta, g.h[vert], np.where(pins[vert], pins[vert], pin))
+            for par, vert, _, beta, pin in levels]
+    return [None if l > reached else
+            (tuple(map(plus_prob, kernels.tree_bracket_levels(cols[:l + 1], l))),
+             int(np.count_nonzero(levels[l][4] == 0)) if l < len(levels) else 0)
+            for l in radii]
 
 
 def saw_tree_sizes(g: WeightedGraph, roots, depth_limit: int,

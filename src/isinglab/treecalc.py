@@ -9,8 +9,9 @@ gives P(root = +1) = logistic(2 F_root); a pinned child contributes its
 coupling with the pin's sign exactly.  The fold runs in one descending
 pass thanks to the parent[i] < i node order (see kernels.tree_root_field).
 Pinning the free depth-l sphere all minus and all plus brackets the root
-marginal; both ends fold in one pass (kernels.tree_bracket_fields).  Walk
-trees are evaluated here too, through sawtree.tree_model.
+marginal; both ends fold together one depth level at a time, the nodes
+grouped by depth (kernels.tree_bracket_levels).  Walk trees are evaluated
+here too, through sawtree.tree_model.
 """
 
 from __future__ import annotations
@@ -72,12 +73,12 @@ def boundary_bracket(tm: TreeModel, l: int) -> tuple[float, float]:
         raise ValueError("depth must be >= 0")
     if tm.clamp[0] != 0:  # a pinned root screens the sphere
         return root_marginal(tm), root_marginal(tm)
-    if l == 0:  # the free root is the sphere
-        return 0.0, 1.0
-    sphere = (tm.tree.depth == l) & (tm.clamp == 0)
-    lower, upper = kernels.tree_bracket_fields(tm.tree.parent, tm.edge_beta, tm.h, tm.clamp,
-                                               sphere)
-    return plus_prob(lower), plus_prob(upper)
+    order = np.argsort(tm.tree.depth, kind="stable")  # by depth, each level in index order
+    first = np.searchsorted(tm.tree.depth[order], np.arange(tm.tree.height + 2))
+    pos = np.argsort(order) - first[tm.tree.depth]  # index of each node within its level
+    levels = [(pos[tm.tree.parent[i]], tm.edge_beta[i], tm.h[i], tm.clamp[i])
+              for i in (order[a:b] for a, b in zip(first[:l + 1], first[1:l + 2]))]
+    return tuple(map(plus_prob, kernels.tree_bracket_levels(levels, l)))
 
 
 def boundary_influence(tm: TreeModel, l: int) -> float:

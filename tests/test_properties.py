@@ -22,7 +22,7 @@ from isinglab.dynamics import (  # noqa: E402
     build_block_transition_matrix,
     build_transition_matrix,
 )
-from isinglab.errors import BudgetError  # noqa: E402
+from isinglab.errors import BudgetError, ConditioningError  # noqa: E402
 from isinglab.graph import (  # noqa: E402
     ball,
     ball_excesses,
@@ -47,10 +47,10 @@ from isinglab.sawtree import (  # noqa: E402
     CHUNK_NODES,
     build_saw_tree,
     build_saw_trees,
+    saw_brackets_at_radii,
     saw_marginal_bracket,
     saw_tree_size,
     saw_tree_sizes,
-    saw_trees_at_radii,
     tree_model,
 )
 from isinglab.treecalc import TreeModel, boundary_bracket  # noqa: E402
@@ -257,23 +257,33 @@ def radii_cases(draw):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(radii_cases())
-def test_trees_at_radii_match_one_build_per_radius(case):
+@given(radii_cases(), st.data())
+def test_brackets_at_radii_match_one_build_per_radius(case, data):
     g, v, radii, max_nodes = case
-    got = saw_trees_at_radii(g, v, radii, max_nodes)
-    assert len(got) == len(radii)
-    for l, tree in zip(radii, got):
+    h = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=g.n, max_size=g.n))
+    clamp = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=g.n, max_size=g.n))
+    g = g.with_vertex_data(h=h, clamp=clamp)
+    m = make_model(g)
+    want = {}
+    for l in radii:
         try:
-            want = build_saw_tree(g, v, l, max_nodes)
+            want[l] = build_saw_tree(g, v, l, max_nodes)
         except BudgetError:
-            assert tree is None, l
+            want[l] = None
+    if g.clamp[v] != 0 and any(tree is not None for tree in want.values()):
+        with pytest.raises(ConditioningError):
+            saw_brackets_at_radii(m, v, radii, max_nodes, g.clamp)
+        return
+    got = saw_brackets_at_radii(m, v, radii, max_nodes, g.clamp)
+    assert len(got) == len(radii)
+    for l, row in zip(radii, got):
+        if want[l] is None:
+            assert row is None, l
             continue
-        assert tree.depth_limit == want.depth_limit == l
-        for a, b in ((tree.tree.parent, want.tree.parent), (tree.tree.depth, want.tree.depth),
-                     (tree.tree.label, want.tree.label), (tree.edge_beta, want.edge_beta),
-                     (tree.fixed, want.fixed), (tree.boundary, want.boundary)):
-            assert a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
+        bracket, sphere = row
+        expect = boundary_bracket(tree_model(want[l], m, g.clamp), l)
+        assert [p.hex() for p in bracket] == [p.hex() for p in expect]
+        assert type(sphere) is int and sphere == want[l].boundary.size
 
 
 @st.composite
@@ -804,18 +814,67 @@ def bracket_cases(draw):
     return tm, draw(st.integers(0, int(tm.tree.depth.max()) + 2))
 
 
+def _depth_levels(tm, l):
+    """tm's depth levels 0..l laid out for kernels.tree_bracket_levels, node by node."""
+    at, levels = {-1: -1}, []
+    for d in range(min(l, tm.tree.height) + 1):
+        nodes = [i for i in range(tm.tree.size) if tm.tree.depth[i] == d]
+        at.update((i, k) for k, i in enumerate(nodes))
+        parent = np.array([at[int(tm.tree.parent[i])] for i in nodes], dtype=np.int64)
+        levels.append((parent, tm.edge_beta[nodes], tm.h[nodes], tm.clamp[nodes]))
+    return levels
+
+
+def _check_level_fold(tm, l):
+    """The level fold's ends against two whole tree_root_field folds, by float.hex."""
+    ends = kernels.tree_bracket_levels(_depth_levels(tm, l), l)
+    if l == 0:  # the free root is the sphere
+        want = [-math.inf, math.inf]
+    else:
+        sphere = np.flatnonzero((tm.tree.depth == l) & (tm.clamp == 0))
+        want = [kernels.tree_root_field(tm.tree.parent, tm.edge_beta, tm.h,
+                                        with_pins(tm, sphere, pin).clamp) for pin in (-1, 1)]
+    assert [float(f).hex() for f in ends] == [float(f).hex() for f in want]
+    got = boundary_bracket(tm, l)
+    assert [float(p).hex() for p in got] == [float(p).hex() for p in two_fold_bracket(tm, l)]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(bracket_cases())
 def test_one_pass_bracket_matches_two_folds(case):
-    tm, l = case
-    sphere = (tm.tree.depth == l) & (tm.clamp == 0)
-    ends = kernels.tree_bracket_fields(tm.tree.parent, tm.edge_beta, tm.h, tm.clamp, sphere)
-    folds = [kernels.tree_root_field(tm.tree.parent, tm.edge_beta, tm.h,
-                                     with_pins(tm, np.flatnonzero(sphere), pin).clamp)
-             for pin in (-1, 1)]
-    assert [float(f).hex() for f in ends] == [float(f).hex() for f in folds]
-    got = boundary_bracket(tm, l)
-    assert [float(p).hex() for p in got] == [float(p).hex() for p in two_fold_bracket(tm, l)]
+    _check_level_fold(*case)
+
+
+def _wide_tree():
+    """Root with six children, the first of which has five; fields and couplings spread."""
+    parent = [-1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 3, 12]
+    rng = np.random.default_rng(5)
+    n = len(parent)
+    clamp = np.zeros(n, dtype=np.int8)
+    clamp[[4, 9, 13]] = [1, -1, 1]  # pinned at depths 1 and 2
+    return TreeModel(make_rooted_tree(parent), rng.uniform(0.05, 2.5, n),
+                     rng.normal(0.0, 2.0, n), clamp)
+
+
+def _zero_chain(h, clamp=(0, 0, 0)):
+    """The path 0-1-2 with couplings 0.7 and 0.0, so node 2 contributes a signed zero."""
+    return TreeModel(make_rooted_tree([-1, 0, 1]), np.array([0.0, 0.7, 0.0]), np.array(h),
+                     np.array(clamp, dtype=np.int8))
+
+
+@pytest.mark.parametrize("tm, l", [
+    (_wide_tree(), 1), (_wide_tree(), 2), (_wide_tree(), 3),  # five and six siblings
+    (_zero_chain([-0.0, -0.0, 0.3]), 2),  # the middle node holds -0.0 and +0.0
+    (_zero_chain([0.0, -0.0, 0.0]), 3),  # zero fields, equal at both ends
+    (_zero_chain([-0.0, 0.0, -0.0]), 2),
+    (_zero_chain([0.2, -0.4, 1.0], clamp=(0, 0, 1)), 2),  # a clamped sphere node
+    (_zero_chain([0.2, -0.4, 1.0], clamp=(0, 0, -1)), 2),
+    (_zero_chain([0.2, -0.4, 1.0]), 0),
+    (_zero_chain([0.2, -0.4, 1.0]), 7),  # past the tree's height
+    (_wide_tree(), 0), (_wide_tree(), 5),
+])
+def test_level_fold_explicit_cases(tm, l):
+    _check_level_fold(tm, l)
 
 
 # ---------------------------------------------------------------------------

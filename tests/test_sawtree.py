@@ -11,8 +11,8 @@ from isinglab.sawtree import (
     build_saw_tree,
     saw_marginal_bracket,
     saw_marginal_from_tree,
+    saw_brackets_at_radii,
     saw_tree_size,
-    saw_trees_at_radii,
 )
 from isinglab.verify import random_connected_model
 
@@ -167,17 +167,19 @@ def test_node_budget_enforced():
     with pytest.raises(BudgetError):
         build_saw_tree(g, 0, 11, max_nodes=500)
     # one growth for several radii marks the radii past the budget instead
-    small, big = saw_trees_at_radii(g, 0, [2, 11], max_nodes=500)
-    assert small.size == build_saw_tree(g, 0, 2).size and big is None
+    m = make_model(g)
+    small, big = saw_brackets_at_radii(m, 0, [2, 11], 500, g.clamp)
+    assert small == (saw_marginal_bracket(m, 0, 2), build_saw_tree(g, 0, 2).boundary.size)
+    assert big is None
 
 
-def test_trees_at_radii_check_their_arguments():
-    g = path_graph(4, 0.3)
-    assert saw_trees_at_radii(g, 1, [], max_nodes=10) == []
+def test_brackets_at_radii_check_their_arguments():
+    m = make_model(path_graph(4, 0.3))
+    assert saw_brackets_at_radii(m, 1, [], 10, m.graph.clamp) == []
     with pytest.raises(ValueError):
-        saw_trees_at_radii(g, 1, [2, -1], max_nodes=10)
+        saw_brackets_at_radii(m, 1, [2, -1], 10, m.graph.clamp)
     with pytest.raises(ValueError):
-        saw_trees_at_radii(g, 4, [2], max_nodes=10)
+        saw_brackets_at_radii(m, 4, [2], 10, m.graph.clamp)
 
 
 def test_clamped_vertex_copies_onto_every_occurrence():

@@ -116,7 +116,8 @@ def test_one_pass_bracket_keeps_signed_zeros():
     # free node over it holds fields -0.0 and 0.0: equal, yet they add
     # zeros of opposite sign to the root's -0.0 field
     tm = chain_model([0.7, 0.0], h=[-0.0, -0.0, 0.3])
-    sphere = tm.tree.depth == 2
-    ends = kernels.tree_bracket_fields(tm.tree.parent, tm.edge_beta, tm.h, tm.clamp, sphere)
+    levels = [(np.array([p]), tm.edge_beta[[i]], tm.h[[i]], tm.clamp[[i]])
+              for i, p in enumerate([-1, 0, 0])]
+    ends = kernels.tree_bracket_levels(levels, 2)
     folds = [root_field(with_pins(tm, [2], pin)) for pin in (-1, 1)]
     assert [f.hex() for f in ends] == [f.hex() for f in folds] == ["-0x0.0p+0", "0x0.0p+0"]
