@@ -19,12 +19,12 @@ two neighbor endpoints w_m and w_{j+1} as integers.
 
 Trees are built level by level in numpy, many roots per level pass: each
 level's children come from the CSR rows of the walks that continue, a
-closure is found by chasing each child's ancestors, and the nodes are
-then numbered in the depth-first preorder a recursive walk would give
-(children in ascending neighbor order); :func:`saw_brackets_at_radii`
-folds the levels unnumbered.  Per-root node counts are known before a
-level is built, so a node budget is enforced without building the
-level that would pass it.  Roots share passes in chunks of at most
+closure is found by chasing each child's ancestors, and each tree keeps
+the order it was grown in: depth by depth, each level grouped by parent
+with children in ascending neighbor order.  :func:`saw_brackets_at_radii`
+folds the levels without assembling a tree.  Per-root node counts are
+known before a level is built, so a node budget is enforced without
+building the level that would pass it.  Roots share passes in chunks of at most
 CHUNK_NODES nodes, so memory follows the chunk, or the budget for a tree
 larger than a chunk.
 """
@@ -63,7 +63,6 @@ class SawTree:
     tree: RootedTree
     edge_beta: np.ndarray  # coupling to parent per node, entry 0 unused
     fixed: np.ndarray  # int8 cycle-closure pins
-    depth_limit: int
     boundary: np.ndarray  # node indices
 
     @property
@@ -76,15 +75,15 @@ def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
     """Walk trees of several roots, yielded in root order.
 
     Trees are grown level by level, many roots per level pass, and laid
-    out in depth-first preorder with children in ascending neighbor order,
-    so parent indices precede children and each tree is the one a
-    depth-first walk from its root would build.  Raises BudgetError when
-    some root's tree has more than ``max_nodes`` nodes, after yielding the
-    trees of earlier chunks; the level that would overflow is never built.
+    out in the order they were grown: depth by depth, each depth grouped
+    by parent with children in ascending neighbor order, so parent
+    indices precede children.  Raises BudgetError when some root's tree
+    has more than ``max_nodes`` nodes, after yielding the trees of earlier
+    chunks; the level that would overflow is never built.
     """
     roots = _check_roots(g, roots, depth_limit)
     for levels, counts in _forests(g, roots, depth_limit, max_nodes, count_only=False):
-        yield from _preorder_trees(levels, counts, depth_limit)
+        yield from _level_trees(levels, counts, depth_limit)
 
 
 def saw_brackets_at_radii(m: IsingModel, v: int, radii, max_nodes: int,
@@ -123,9 +122,8 @@ def build_saw_tree(g: WeightedGraph, v: int, depth_limit: int,
                    max_nodes: int = DEFAULT_NODE_BUDGET) -> SawTree:
     """Walk tree from v, built level by level as a forest of one root.
 
-    Nodes are in the depth-first preorder a recursive walk from v gives,
-    children in ascending neighbor order, so parent indices precede
-    children.  Raises BudgetError past ``max_nodes`` nodes.
+    Nodes are in level order, as :func:`build_saw_trees` lays them out.
+    Raises BudgetError past ``max_nodes`` nodes.
     """
     return next(build_saw_trees(g, [v], depth_limit, max_nodes))
 
@@ -239,42 +237,28 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
     return levels, counts, depth_limit
 
 
-def _preorder_trees(levels, counts: np.ndarray, depth_limit: int) -> Iterator[SawTree]:
-    """Number the forest's nodes in depth-first preorder and yield each tree.
+def _level_trees(levels, counts: np.ndarray, depth_limit: int) -> Iterator[SawTree]:
+    """Yield each tree of the forest with its nodes in the builder's level order.
 
-    Subtree sizes are summed bottom-up; a node's preorder index is its
-    parent's plus one plus the subtree sizes of its earlier siblings.
+    Every level is grouped by root in root order, so a stable sort of the
+    concatenated levels by root gives each tree its levels in depth order.
     """
-    sizes = [np.ones(lv[0].size, dtype=np.int64) for lv in levels]
-    for k in range(len(levels) - 1, 0, -1):
-        sizes[k - 1] += np.bincount(levels[k][0], weights=sizes[k],
-                                    minlength=sizes[k - 1].size).astype(np.int64)
+    sizes = [lv[0].size for lv in levels]
+    depth = np.repeat(np.arange(len(levels)), sizes)
+    parent, vertex, root, beta, pin = (np.concatenate(a) for a in zip(*levels))
+    parent += (np.cumsum(sizes) - sizes)[depth - 1]  # into the forest; roots reset below
+    order = np.argsort(root, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
     offset = np.cumsum(counts) - counts
-    total = int(counts.sum())
-    parent = np.full(total, -1, dtype=np.int64)
-    depth = np.zeros(total, dtype=np.int64)
-    label = np.empty(total, dtype=np.int64)
-    beta = np.zeros(total)
-    pin = np.zeros(total, dtype=np.int8)
-    label[offset] = levels[0][1]
-    pos = offset  # buffer index of each node of the previous level
-    for k in range(1, len(levels)):
-        par, vert, root, b, p = levels[k]
-        before = np.cumsum(sizes[k]) - sizes[k]
-        first = np.searchsorted(par, par)  # first sibling of each node
-        here = pos[par] + 1 + before - before[first]
-        parent[here] = pos[par] - offset[root]
-        depth[here] = k
-        label[here] = vert
-        beta[here] = b
-        pin[here] = p
-        pos = here
+    parent = rank[parent[order]] - offset[root[order]]
+    parent[offset] = -1
+    depth, vertex, beta, pin = depth[order], vertex[order], beta[order], pin[order]
     for lo, n in zip(offset.tolist(), counts.tolist()):
-        tree = make_rooted_tree(parent[lo:lo + n], depth[lo:lo + n], label[lo:lo + n])
+        tree = make_rooted_tree(parent[lo:lo + n], depth[lo:lo + n], vertex[lo:lo + n])
         fixed = pin[lo:lo + n].copy()
         boundary = np.flatnonzero((tree.depth == depth_limit) & (fixed == 0))
-        yield SawTree(tree, beta[lo:lo + n].copy(), fixed, depth_limit,
-                      boundary.astype(np.int64))
+        yield SawTree(tree, beta[lo:lo + n].copy(), fixed, boundary.astype(np.int64))
 
 
 def tree_model(st: SawTree, m: IsingModel, pins: np.ndarray) -> TreeModel:

@@ -203,9 +203,24 @@ def forest_cases(draw):
     return graph_from_edges(n, edges), roots, depth, max_nodes
 
 
+def _level_order(parent, depth, label, edge_beta, fixed):
+    """A depth-first tree's arrays relabelled into level order.
+
+    A stable sort by depth keeps each level in depth-first order, which
+    groups it by parent in parent order; parents are remapped through the
+    inverse permutation.
+    """
+    order = np.argsort(depth, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    parent = parent[order]
+    parent[1:] = rank[parent[1:]]
+    return parent, depth[order], label[order], edge_beta[order], fixed[order]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(forest_cases())
-def test_forest_builder_matches_depth_first_oracle(case):
+@given(forest_cases(), st.data())
+def test_forest_builder_matches_depth_first_oracle(case, data):
     g, roots, depth, max_nodes = case
     want = {}
     try:
@@ -219,11 +234,20 @@ def test_forest_builder_matches_depth_first_oracle(case):
         return
     got = list(build_saw_trees(g, roots, depth, max_nodes))
     assert len(got) == len(roots)
+    h = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=g.n, max_size=g.n)))
     for tree, v in zip(got, roots):
         built = (tree.tree.parent, tree.tree.depth, tree.tree.label, tree.edge_beta, tree.fixed)
-        for a, b in zip(built, want[v]):
+        for a, b in zip(built, _level_order(*want[v])):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+        assert np.all(np.diff(tree.tree.depth) >= 0)
+        assert np.all(np.diff(tree.tree.parent) >= 0)
+        # both layouts fold each child before its parent, and each parent's
+        # children in descending sibling order, so the root field keeps its bits
+        parent, _, label, edge_beta, fixed = want[v]
+        field = kernels.tree_root_field(tree.tree.parent, tree.edge_beta,
+                                        h[tree.tree.label], tree.fixed)
+        assert field.hex() == kernels.tree_root_field(parent, edge_beta, h[label], fixed).hex()
     sizes = saw_tree_sizes(g, roots, depth, max_nodes)
     assert sizes.dtype == np.int64
     assert sizes.tolist() == [tree.size for tree in got]

@@ -27,14 +27,26 @@ def saw_marginal(m, v, depth_limit, cond=None):
 
 
 def saw_tree_dump(st):
-    """Indented one-node-per-line rendering for golden-file comparisons."""
+    """Indented one-node-per-line rendering for golden-file comparisons.
+
+    Nodes are rendered depth first from the root, each node's children in
+    index order, whatever order the tree stores them in.
+    """
     lines = []
     marks = {0: "", 1: " pin:+", -1: " pin:-"}
     on_boundary = np.zeros(st.size, dtype=bool)
     on_boundary[st.boundary] = True
-    for i in range(st.size):
+    children = [[] for _ in range(st.size)]
+    for i in range(1, st.size):
+        children[int(st.tree.parent[i])].append(i)
+
+    def render(i):
         tag = " boundary" if on_boundary[i] else marks[int(st.fixed[i])]
         lines.append(f"{'  ' * int(st.tree.depth[i])}v{int(st.tree.label[i])}{tag}")
+        for c in children[i]:
+            render(c)
+
+    render(0)
     return "\n".join(lines) + "\n"
 
 
@@ -71,9 +83,11 @@ def test_walk_tree_size_matches_build():
 
 
 # sha256 over every array of build_saw_tree on ER n=60, d=3, beta=0.37,
-# seeds 0-4, roots 0, 7, ..., 56 and L in {0, 1, 3, 6}, recorded from the
-# numpy-array expander before it was rewritten to walk Python lists
-LAYOUT_SHA256 = "fc3be68f61ee55c7494c5f771a6147d0425ac6449bb0a70f550303c3e52a8fa6"
+# seeds 0-4, roots 0, 7, ..., 56 and L in {0, 1, 3, 6}.  Recorded from the
+# builder that numbered nodes in depth-first preorder, with each of its
+# trees relabelled into level order: a stable sort by depth, with parents
+# and boundary remapped through the inverse permutation
+LAYOUT_SHA256 = "66629079a282491d3d9b3480cc7a55d08c035d4865b0237c4c2fd7e7c3643152"
 
 
 def test_walk_tree_layout_pinned():
