@@ -172,11 +172,12 @@ def graph_from_edges(n, edges, h=None, clamp=None) -> WeightedGraph:
 
 @dataclass(frozen=True)
 class RootedTree:
-    """Rooted tree stored as a parent array with parent[i] < i and root 0.
+    """Rooted tree stored as a parent array in level order, root 0.
 
-    ``label`` carries the original vertex id of each node where one exists
-    (-1 otherwise).  The index order makes a single descending loop a valid
-    children-before-parents fold, which the marginal kernels exploit.
+    Level order means parent[1:] is non-decreasing with parent[i] < i, so
+    each depth level is a slice, grouped by parent in parent order, and a
+    descending loop folds children before parents.  :func:`make_rooted_tree`
+    checks it.  ``label`` is each node's original vertex id, or -1.
     """
 
     parent: np.ndarray  # int64, parent[0] == -1
@@ -189,7 +190,7 @@ class RootedTree:
 
     @property
     def height(self) -> int:
-        return int(self.depth.max())
+        return int(self.depth[-1])
 
     def num_children(self) -> np.ndarray:
         counts = np.zeros(self.size, dtype=np.int64)
@@ -209,8 +210,9 @@ def make_rooted_tree(parent, depth=None, label=None) -> RootedTree:
     nn = parent.shape[0]
     if nn < 1 or parent[0] != -1:
         raise ValueError("root must be node 0 with parent -1")
-    if nn > 1 and not np.all((parent[1:] >= 0) & (parent[1:] < np.arange(1, nn))):
-        raise ValueError("parent[i] < i required for i >= 1")
+    if nn > 1 and not (parent[1] == 0 and np.all(  # non-decreasing from 0: none negative
+            (parent[1:] >= parent[:-1]) & (parent[1:] < np.arange(1, nn)))):
+        raise ValueError("parent[1:] must be non-decreasing from 0 with parent[i] < i")
     if depth is None:
         depth = np.zeros(nn, dtype=np.int64)
         for i in range(1, nn):
@@ -346,26 +348,17 @@ def tree_path_density(tree: RootedTree, max_depth: int | None = None) -> int:
 
     With ``max_depth`` set, only nodes at depth <= max_depth contribute and
     degrees are recomputed inside that truncation (children below the cut
-    do not count).
+    do not count).  The kept nodes are a prefix of the level order, and the
+    path sums accumulate one level at a time.
     """
-    deg = tree.degrees()
-    if max_depth is not None:
-        kept = tree.depth <= max_depth
-        deg = deg.copy()
-        boundary = tree.depth == max_depth
-        deg[boundary] = np.where(tree.parent[boundary] >= 0, 1, 0)
-    else:
-        kept = np.ones(tree.size, dtype=bool)
-    acc = np.zeros(tree.size, dtype=np.int64)
-    acc[0] = deg[0]
-    best = int(acc[0]) if kept[0] else 0
-    for i in range(1, tree.size):
-        if not kept[i]:
-            continue
-        acc[i] = acc[tree.parent[i]] + deg[i]
-        if acc[i] > best:
-            best = int(acc[i])
-    return best
+    top = tree.height if max_depth is None else min(max_depth, tree.height)
+    first = np.searchsorted(tree.depth, np.arange(top + 2))
+    deg = tree.degrees()[:first[-1]]
+    if top == max_depth:  # the cut's sphere keeps only its parent links
+        deg[first[top]:] = 1 if top else 0
+    for a, b in zip(first[1:-1], first[2:]):
+        deg[a:b] += deg[tree.parent[a:b]]
+    return int(deg.max())
 
 
 # ---------------------------------------------------------------------------

@@ -120,14 +120,18 @@ def _log_weights_table(m: IsingModel,
     return logw, ok
 
 
-def normalize_log_weights(logw: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, float]:
-    """(probabilities, log normalizer) of exp(logw) over the ``ok`` states.
+def _shifted_mass(logw: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, float]:
+    """(exp(logw - shift), shift), the shift being the largest ``ok`` weight.
 
-    The weights are shifted by their largest ``ok`` value before the exp,
-    and states outside ``ok`` get exp(-inf) = 0, so none overflows.
+    States outside ``ok`` get exp(-inf) = 0, so none overflows.
     """
     shift = logw[ok].max()
-    mass = np.exp(np.where(ok, logw - shift, -np.inf))
+    return np.exp(np.where(ok, logw - shift, -np.inf)), shift
+
+
+def normalize_log_weights(logw: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, float]:
+    """(probabilities, log normalizer) of exp(logw) over the ``ok`` states."""
+    mass, shift = _shifted_mass(logw, ok)
     z = mass.sum()
     return mass / z, float(shift + np.log(z))
 
@@ -161,9 +165,7 @@ def exact_conditional_marginal(m: IsingModel, v: int, cond: dict[int, int] | Non
     logw, ok = _log_weights_table(m, pins)
     if not ok.any():
         raise ConditioningError("conditioning event has probability zero")
-    shift = logw[ok].max()
-    # states outside the event get exp(-inf) = 0, so none overflows
-    mass = np.exp(np.where(ok, logw - shift, -np.inf))
+    mass, _ = _shifted_mass(logw, ok)
     num = mass[((np.arange(1 << m.n) >> v) & 1) == 1].sum()
     return float(num / mass.sum())
 

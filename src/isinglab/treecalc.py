@@ -7,11 +7,11 @@ effective field F.  Folding children into parents via
 
 gives P(root = +1) = logistic(2 F_root); a pinned child contributes its
 coupling with the pin's sign exactly.  The fold runs in one descending
-pass thanks to the parent[i] < i node order (see kernels.tree_root_field).
+pass thanks to the level order of RootedTree (see kernels.tree_root_field).
 Pinning the free depth-l sphere all minus and all plus brackets the root
-marginal; both ends fold together one depth level at a time, the nodes
-grouped by depth (kernels.tree_bracket_levels).  Walk trees are evaluated
-here too, through sawtree.tree_model.
+marginal; both ends fold together one depth level at a time, each level
+a slice of the tree's arrays (kernels.tree_bracket_levels).  Walk trees
+are evaluated here too, through sawtree.tree_model.
 """
 
 from __future__ import annotations
@@ -67,17 +67,17 @@ def boundary_bracket(tm: TreeModel, l: int) -> tuple[float, float]:
 
     Nodes already pinned keep their pin; only free sphere nodes are set.
     For cooperative couplings the pair (lower, upper) encloses the root
-    marginal under any boundary condition on that sphere.
+    marginal under any boundary condition on that sphere.  Level k is the
+    slice first[k]:first[k + 1] of the level-ordered tree, and its parents
+    index level k - 1 once first[k - 1] is subtracted.
     """
     if l < 0:
         raise ValueError("depth must be >= 0")
     if tm.clamp[0] != 0:  # a pinned root screens the sphere
         return root_marginal(tm), root_marginal(tm)
-    order = np.argsort(tm.tree.depth, kind="stable")  # by depth, each level in index order
-    first = np.searchsorted(tm.tree.depth[order], np.arange(tm.tree.height + 2))
-    pos = np.argsort(order) - first[tm.tree.depth]  # index of each node within its level
-    levels = [(pos[tm.tree.parent[i]], tm.edge_beta[i], tm.h[i], tm.clamp[i])
-              for i in (order[a:b] for a, b in zip(first[:l + 1], first[1:l + 2]))]
+    first = np.searchsorted(tm.tree.depth, np.arange(min(l, tm.tree.height) + 2))
+    levels = [(tm.tree.parent[a:b] - up, tm.edge_beta[a:b], tm.h[a:b], tm.clamp[a:b])
+              for up, a, b in zip(np.r_[0, first[:-2]], first[:-1], first[1:])]
     return tuple(map(plus_prob, kernels.tree_bracket_levels(levels, l)))
 
 

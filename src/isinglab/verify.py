@@ -274,8 +274,9 @@ def _free_tree_canonical(adj: list[list[int]]) -> str:
 def enumerate_tree_shapes(max_n: int) -> tuple[tuple[int, ...], ...]:
     """All free tree shapes on 1..max_n vertices, one parent array each.
 
-    Runs over every parent sequence with parent[i] < i (each shape occurs
-    there) and deduplicates by a canonical form rooted at the tree center.
+    Runs over every level-ordered parent sequence (non-decreasing with
+    parent[i] < i; each shape occurs there) and deduplicates by a canonical
+    form rooted at the tree center.
     """
     shapes: dict[str, tuple[int, ...]] = {}
     for n in range(1, max_n + 1):
@@ -290,7 +291,7 @@ def enumerate_tree_shapes(max_n: int) -> tuple[tuple[int, ...], ...]:
                 if key not in shapes:
                     shapes[key] = tuple(parent)
                 return
-            for p in range(i):
+            for p in range(max(parent[-1], 0), i):
                 rec(parent + [p])
         rec([-1])
     return tuple(shapes.values())

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import io
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from isinglab.graph import (
     write_graph,
 )
 from isinglab.rng import substream
+from isinglab.sawtree import build_saw_trees
+from isinglab.verify import enumerate_tree_shapes
 
 
 def test_graph_from_edges_validation():
@@ -273,6 +277,93 @@ def test_path_density_budget():
     b = ball(g, 0, 4)
     with pytest.raises(BudgetError):
         path_density(b, budget=10)
+
+
+def node_path_density(tree, max_depth: int | None = None) -> int:
+    """tree_path_density one node at a time: the reference for its level-wise sums."""
+    deg = tree.degrees()
+    if max_depth is not None:
+        kept = tree.depth <= max_depth
+        boundary = tree.depth == max_depth
+        deg[boundary] = np.where(tree.parent[boundary] >= 0, 1, 0)
+    else:
+        kept = np.ones(tree.size, dtype=bool)
+    acc = np.zeros(tree.size, dtype=np.int64)
+    acc[0] = deg[0]
+    best = int(acc[0]) if kept[0] else 0
+    for i in range(1, tree.size):
+        if not kept[i]:
+            continue
+        acc[i] = acc[tree.parent[i]] + deg[i]
+        if acc[i] > best:
+            best = int(acc[i])
+    return best
+
+
+def _gw_and_walk_trees():
+    for k in range(60):
+        yield generate_galton_watson(1.0 + 0.05 * k, 2 + k % 6, seed=300 + k)
+    for seed in (1, 2):
+        g = generate_erdos_renyi(40, 2.5, seed=seed)
+        yield from (st.tree for st in build_saw_trees(g, range(g.n), 5))
+
+
+def test_tree_path_density_matches_node_loop():
+    for tree in _gw_and_walk_trees():
+        for cut in [None, *range(tree.height + 2)]:
+            assert tree_path_density(tree, cut) == node_path_density(tree, cut), (tree, cut)
+
+
+def test_make_rooted_tree_rejects_all_but_level_order():
+    bad_root = ([], [0], [0, 0], [-1, -1])
+    late_parent = ([-1, 1], [-1, 0, 2], [-1, 0, 0, 3])
+    negative = ([-1, 0, -1], [-1, 0, -2, 1])
+    not_level_order = ([-1, 0, 1, 0], [-1, 0, 0, 1, 0, 2])
+    for parent in bad_root + late_parent + negative + not_level_order:
+        with pytest.raises(ValueError):
+            make_rooted_tree(parent)
+
+
+def _assert_level_order(tree):
+    make_rooted_tree(tree.parent)  # raises unless in level order
+    assert np.all(np.diff(tree.parent[1:]) >= 0)
+    assert tree.depth[0] == 0 and np.all(tree.depth[1:] == tree.depth[tree.parent[1:]] + 1)
+
+
+def test_every_tree_builder_grows_level_order():
+    for tree in _gw_and_walk_trees():  # Galton-Watson and walk trees
+        _assert_level_order(tree)
+    for length in range(1, 13):  # the path-decay paths
+        _assert_level_order(make_rooted_tree(np.arange(-1, length)))
+    for parent in enumerate_tree_shapes(8):
+        _assert_level_order(make_rooted_tree(parent))
+
+
+def all_order_tree_shapes(max_n: int) -> tuple[tuple[int, ...], ...]:
+    """Free tree shapes first met over every parent[i] < i sequence, in lexicographic order.
+
+    The reference for enumerate_tree_shapes, which runs over the level-ordered
+    sequences only.  A shape's key is its least rooted form over all roots.
+    """
+    shapes: dict[str, tuple[int, ...]] = {}
+    for n in range(1, max_n + 1):
+        for tail in itertools.product(*(range(i) for i in range(1, n))):
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for c, p in enumerate(tail, 1):
+                adj[p].append(c)
+                adj[c].append(p)
+
+            def rooted(u: int, up: int) -> str:
+                return "(" + "".join(sorted(rooted(w, u) for w in adj[u] if w != up)) + ")"
+
+            shapes.setdefault(min(rooted(r, -1) for r in range(n)), (-1, *tail))
+    return tuple(shapes.values())
+
+
+def test_enumerate_tree_shapes_counts_and_order():
+    counts = Counter(len(parent) for parent in enumerate_tree_shapes(9))
+    assert [counts[n] for n in range(1, 10)] == [1, 1, 1, 2, 3, 6, 11, 23, 47]  # OEIS A000055
+    assert enumerate_tree_shapes(8) == all_order_tree_shapes(8)
 
 
 def test_tree_path_density_star_vs_path():

@@ -819,14 +819,15 @@ def test_tree_fold_matches_numpy_reference(nodes):
 def bracket_cases(draw):
     """(tree model, l) for the one-pass bracket.
 
-    Half are random trees in which any node, the root too, may be pinned;
+    Half are random trees in which any node, the root too, may be pinned,
+    their parents sorted into level order (every rooted shape has one);
     half are walk trees of a clamped model under a conditioning, so their
     pins are cycle closures and conditioned vertices.  l runs from 0 to
     two past the tree's depth, so free sphere nodes may have children.
     """
     if draw(st.booleans()):
         where, beta, h, pin = zip(*draw(st.lists(tree_nodes, min_size=1, max_size=30)))
-        tree = make_rooted_tree([-1] + [int(x * i) for i, x in enumerate(where) if i])
+        tree = make_rooted_tree([-1] + sorted(int(x * i) for i, x in enumerate(where) if i))
         tm = TreeModel(tree, np.array(beta), np.array(h), np.array(pin, dtype=np.int8))
     else:
         m = draw(clamped_models(fields))

@@ -95,3 +95,24 @@ def test_every_public_name_in_src_has_a_caller():
     assert unused == set(KEPT)
     for name, holder in KEPT.items():
         assert re.search(rf"\b{name}\b", (ROOT / holder).read_text()), (name, holder)
+
+
+def _callers(name: str, node: ast.AST, where: str | None = None):
+    """The innermost function around each call to ``name`` under node (None at module level)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _callers(name, child, child.name)
+            continue
+        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                    getattr(child.func, "attr", None)):
+            yield where
+        yield from _callers(name, child, where)
+
+
+def test_rooted_trees_are_built_only_by_make_rooted_tree():
+    # make_rooted_tree checks the level order that every tree reader relies on
+    found = [(path.name, caller)
+             for directory in ("src/isinglab", "tests", "perfbench")
+             for path in sorted((ROOT / directory).glob("*.py"))
+             for caller in _callers("RootedTree", ast.parse(path.read_text(), filename=str(path)))]
+    assert found == [("graph.py", "make_rooted_tree")]
