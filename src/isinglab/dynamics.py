@@ -34,6 +34,7 @@ from .rng import substream
 
 MATRIX_VERTEX_CAP = 10
 TV_THRESHOLD = 1.0 / (2.0 * math.e)
+MIXING_STEP_CAP = 10**9  # exact_mixing_time gives up past this many steps
 BLOCK_SIZE_CAP = 20
 _STEP_BLOCK = 1 << 16
 POST_COUPLING_AUDIT = 1024  # updates run on after the chains meet
@@ -110,8 +111,7 @@ def default_checkpoints(cap: int) -> list[int]:
     return points
 
 
-def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream,
-                         checkpoints: list[int] | None = None) -> CouplingResult:
+def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream) -> CouplingResult:
     """Run the all-up and all-down chains on one stream until they meet.
 
     Pairs are drawn in blocks that end at the next checkpoint or after
@@ -131,9 +131,7 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream,
     h = m.graph.h.tolist()
     p_lo, p_hi = m.graph.plus_prob_bounds
     ham = int(np.count_nonzero(upper != lower))
-    if checkpoints is None:
-        checkpoints = default_checkpoints(cap)
-    marks = sorted({int(t) for t in checkpoints if 1 <= t <= cap})
+    marks = default_checkpoints(cap)
     recorded: list[tuple[int, int]] = []
     done = 0
     met_at = -1
@@ -300,9 +298,8 @@ def chain_tv_from_stationary(t: TransitionMatrix, power: np.ndarray) -> float:
     return float(0.5 * np.abs(power - t.stationary).sum(axis=1).max())
 
 
-def exact_mixing_time(t: TransitionMatrix, threshold: float = TV_THRESHOLD,
-                      step_cap: int = 10**9) -> int:
-    """Smallest s with worst-start TV(P^s, stationary) <= threshold.
+def exact_mixing_time(t: TransitionMatrix) -> int:
+    """Smallest s with worst-start TV(P^s, stationary) <= TV_THRESHOLD.
 
     Worst-start TV is nonincreasing in s, so a doubling sweep followed by
     a binary search on cached powers locates the crossing exactly.
@@ -310,15 +307,15 @@ def exact_mixing_time(t: TransitionMatrix, threshold: float = TV_THRESHOLD,
     mat = t.matrix
     powers = {1: mat}
     s = 1
-    while chain_tv_from_stationary(t, powers[s]) > threshold:
+    while chain_tv_from_stationary(t, powers[s]) > TV_THRESHOLD:
         nxt = powers[s] @ powers[s]
         s *= 2
         powers[s] = nxt
-        if s > step_cap:
-            raise SizeError(f"mixing time exceeds step cap {step_cap}")
+        if s > MIXING_STEP_CAP:
+            raise SizeError(f"mixing time exceeds step cap {MIXING_STEP_CAP}")
     if s == 1:
         return 1
-    lo, hi = s // 2, s  # tv(lo) > threshold >= tv(hi)
+    lo, hi = s // 2, s  # tv(lo) > TV_THRESHOLD >= tv(hi)
 
     def power_of(e: int) -> np.ndarray:
         out = None
@@ -332,7 +329,7 @@ def exact_mixing_time(t: TransitionMatrix, threshold: float = TV_THRESHOLD,
 
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if chain_tv_from_stationary(t, power_of(mid)) > threshold:
+        if chain_tv_from_stationary(t, power_of(mid)) > TV_THRESHOLD:
             lo = mid
         else:
             hi = mid

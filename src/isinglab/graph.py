@@ -432,8 +432,7 @@ def generate_erdos_renyi(n: int, d: float, seed: int, beta: float = 1.0) -> Weig
     return graph_from_edges(n, [(u, v, beta) for u, v in pairs])
 
 
-def generate_galton_watson(d: float, depth: int, seed: int,
-                           max_nodes: int = DEFAULT_VISIT_BUDGET) -> RootedTree:
+def generate_galton_watson(d: float, depth: int, seed: int) -> RootedTree:
     """Branching tree with Poisson(d) offspring, truncated below ``depth``.
 
     Offspring counts are drawn by one-uniform inversion per node in
@@ -456,8 +455,8 @@ def generate_galton_watson(d: float, depth: int, seed: int,
         for node, u in zip(level, us):
             kids = poisson_by_inversion(float(u), d)
             for _ in range(kids):
-                if len(parent) >= max_nodes:
-                    raise BudgetError(f"tree exceeded {max_nodes} nodes")
+                if len(parent) >= DEFAULT_VISIT_BUDGET:
+                    raise BudgetError(f"tree exceeded {DEFAULT_VISIT_BUDGET} nodes")
                 nxt.append(len(parent))
                 parent.append(node)
                 depths.append(r + 1)

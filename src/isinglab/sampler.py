@@ -70,7 +70,7 @@ def algorithm1_samples(m: IsingModel, depth_limit: int, streams: list[UpdateStre
     for i, (v, st) in enumerate(zip(free, trees)):
         sizes[i] = st.size
         for k, pins in enumerate(spins):
-            p = root_marginal(tree_model(st, m, pins))
+            p = root_marginal(tree_model(st, pins))
             pins[v] = 1 if us[k][i] <= p else -1
             ps[k, i] = p
     return [SamplerRun(depth_limit, free.copy(), ps[k], spins[k], sizes.copy())
@@ -83,8 +83,7 @@ def algorithm1_sample(m: IsingModel, depth_limit: int, stream: UpdateStream,
     return algorithm1_samples(m, depth_limit, [stream], max_nodes)[0]
 
 
-def algorithm1_output_law(m: IsingModel, depth_limit: int,
-                          max_nodes: int = DEFAULT_NODE_BUDGET) -> ExactDistribution:
+def algorithm1_output_law(m: IsingModel, depth_limit: int) -> ExactDistribution:
     """Exact distribution of the sampler's output, by prefix enumeration.
 
     Walks the binary tree of assignments, multiplying each step's marginal.
@@ -95,7 +94,7 @@ def algorithm1_output_law(m: IsingModel, depth_limit: int,
     k = free.size
     if m.n > OUTPUT_LAW_VERTEX_CAP:
         raise SizeError(f"output-law enumeration capped at {OUTPUT_LAW_VERTEX_CAP} vertices")
-    trees = list(build_saw_trees(m.graph, free, depth_limit, max_nodes))
+    trees = list(build_saw_trees(m.graph, free, depth_limit))
     probs = np.zeros(1 << m.n)
     base = 0
     for v in range(m.n):
@@ -108,7 +107,7 @@ def algorithm1_output_law(m: IsingModel, depth_limit: int,
             probs[mask] += weight
             return
         v = int(free[i])
-        p = root_marginal(tree_model(trees[i], m, pins))
+        p = root_marginal(tree_model(trees[i], pins))
         pins[v] = 1
         descend(i + 1, mask | (1 << v), weight * p)
         pins[v] = -1
@@ -119,13 +118,12 @@ def algorithm1_output_law(m: IsingModel, depth_limit: int,
     return ExactDistribution(m.n, probs, None)
 
 
-def truncation_tv_bound(m: IsingModel, depth_limit: int,
-                        max_nodes: int = DEFAULT_NODE_BUDGET) -> float:
-    """Chained truncation bound: sum of boundary sizes times tanh(beta)^L."""
+def truncation_tv_bound(m: IsingModel, depth_limit: int) -> float:
+    """Chained truncation bound: sum of free depth-L node counts times tanh(beta)^L."""
     decay = math.tanh(m.beta_max) ** depth_limit
     total = 0.0
-    for st in build_saw_trees(m.graph, m.graph.free_vertices(), depth_limit, max_nodes):
-        total += st.boundary.size * decay
+    for st in build_saw_trees(m.graph, m.graph.free_vertices(), depth_limit):
+        total += np.count_nonzero((st.tree.depth == depth_limit) & (st.clamp == 0)) * decay
     return total
 
 

@@ -8,9 +8,12 @@ fixed local rule.  With conditioned spins copied onto every occurrence,
 P_G(s_v = + | conditioning) equals the root marginal of the walk tree.
 A walk tree truncated at depth L brackets the true marginal between its
 all-minus-boundary and all-plus-boundary evaluations, with a gap
-controlled by boundary size times tanh(beta_max)^L.  :func:`tree_model`
-turns a built tree and a pins vector into a treecalc model, and treecalc
-does every evaluation.
+controlled by boundary size times tanh(beta_max)^L.
+
+A built walk tree is a treecalc.TreeModel: the graph's fields copied
+onto every occurrence of a vertex, the cycle closures as clamps, and the
+free depth-L nodes its truncation boundary.  :func:`tree_model` copies a
+pins vector over those clamps, and treecalc does every evaluation.
 
 Pin rule at a cycle closure: when the walk w_0..w_m steps back onto an
 earlier vertex w_j, the new leaf is pinned + exactly when the closing
@@ -32,13 +35,12 @@ larger than a chunk.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import BudgetError, ConditioningError
-from .graph import RootedTree, WeightedGraph, make_rooted_tree
+from .graph import WeightedGraph, make_rooted_tree
 from .model import IsingModel, merge_conditioning, plus_prob
 from .treecalc import TreeModel, boundary_bracket, root_marginal
 
@@ -50,29 +52,9 @@ DEFAULT_NODE_BUDGET = 10**7
 CHUNK_NODES = 1 << 13
 
 
-@dataclass(frozen=True)
-class SawTree:
-    """Walk tree of a graph vertex, truncated below depth L.
-
-    ``tree`` labels carry original vertex ids.  ``fixed`` holds the
-    cycle-closure pins (+1/-1, 0 elsewhere); ``boundary`` lists the nodes
-    at depth exactly L that are not cycle closures, i.e. the free
-    truncation surface whose pinning brackets the true marginal.
-    """
-
-    tree: RootedTree
-    edge_beta: np.ndarray  # coupling to parent per node, entry 0 unused
-    fixed: np.ndarray  # int8 cycle-closure pins
-    boundary: np.ndarray  # node indices
-
-    @property
-    def size(self) -> int:
-        return self.tree.size
-
-
 def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
-                    max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[SawTree]:
-    """Walk trees of several roots, yielded in root order.
+                    max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[TreeModel]:
+    """Walk trees of several roots as tree models, yielded in root order.
 
     Trees are grown level by level, many roots per level pass, and laid
     out in the order they were grown: depth by depth, each depth grouped
@@ -83,18 +65,18 @@ def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
     """
     roots = _check_roots(g, roots, depth_limit)
     for levels, counts in _forests(g, roots, depth_limit, max_nodes, count_only=False):
-        yield from _level_trees(levels, counts, depth_limit)
+        yield from _level_trees(levels, counts, g.h)
 
 
 def saw_brackets_at_radii(m: IsingModel, v: int, radii, max_nodes: int,
                           pins: np.ndarray) -> list[tuple[tuple[float, float], int] | None]:
     """v's walk-tree bracket and sphere size at each radius, from one growth.
 
-    Entry i is ``(boundary_bracket(tree_model(st, m, pins), l),
-    st.boundary.size)`` for st = ``build_saw_tree(m.graph, v, l, max_nodes)``
-    at l = radii[i], or None where that raises BudgetError; radius l folds
-    the grown levels 0..l.  Raises ConditioningError when v is pinned and
-    some radius fits.
+    Entry i is ``(boundary_bracket(tree_model(st, pins), l), sphere)`` for
+    st = ``build_saw_tree(m.graph, v, l, max_nodes)`` at l = radii[i], where
+    sphere counts st's nodes with depth l and clamp 0, or None where the
+    build raises BudgetError; radius l folds the grown levels 0..l.  Raises
+    ConditioningError when v is pinned and some radius fits.
     """
     g = m.graph
     radii = [int(l) for l in radii]
@@ -119,7 +101,7 @@ def saw_tree_sizes(g: WeightedGraph, roots, depth_limit: int,
 
 
 def build_saw_tree(g: WeightedGraph, v: int, depth_limit: int,
-                   max_nodes: int = DEFAULT_NODE_BUDGET) -> SawTree:
+                   max_nodes: int = DEFAULT_NODE_BUDGET) -> TreeModel:
     """Walk tree from v, built level by level as a forest of one root.
 
     Nodes are in level order, as :func:`build_saw_trees` lays them out.
@@ -237,11 +219,12 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
     return levels, counts, depth_limit
 
 
-def _level_trees(levels, counts: np.ndarray, depth_limit: int) -> Iterator[SawTree]:
+def _level_trees(levels, counts: np.ndarray, h: np.ndarray) -> Iterator[TreeModel]:
     """Yield each tree of the forest with its nodes in the builder's level order.
 
     Every level is grouped by root in root order, so a stable sort of the
     concatenated levels by root gives each tree its levels in depth order.
+    Fields are gathered from ``h`` and the clamps are the cycle-closure pins.
     """
     sizes = [lv[0].size for lv in levels]
     depth = np.repeat(np.arange(len(levels)), sizes)
@@ -254,15 +237,15 @@ def _level_trees(levels, counts: np.ndarray, depth_limit: int) -> Iterator[SawTr
     parent = rank[parent[order]] - offset[root[order]]
     parent[offset] = -1
     depth, vertex, beta, pin = depth[order], vertex[order], beta[order], pin[order]
+    field = h[vertex]
     for lo, n in zip(offset.tolist(), counts.tolist()):
-        tree = make_rooted_tree(parent[lo:lo + n], depth[lo:lo + n], vertex[lo:lo + n])
-        fixed = pin[lo:lo + n].copy()
-        boundary = np.flatnonzero((tree.depth == depth_limit) & (fixed == 0))
-        yield SawTree(tree, beta[lo:lo + n].copy(), fixed, boundary.astype(np.int64))
+        part = slice(lo, lo + n)
+        tree = make_rooted_tree(parent[part], depth[part], vertex[part])
+        yield TreeModel(tree, beta[part].copy(), field[part].copy(), pin[part].copy())
 
 
-def tree_model(st: SawTree, m: IsingModel, pins: np.ndarray) -> TreeModel:
-    """The walk tree as a tree model under a pins vector.
+def tree_model(st: TreeModel, pins: np.ndarray) -> TreeModel:
+    """The walk tree under a pins vector.
 
     ``pins`` is int8, +-1 at every clamped or conditioned vertex and 0
     elsewhere, as :func:`merge_conditioning` returns it, and is used
@@ -274,14 +257,13 @@ def tree_model(st: SawTree, m: IsingModel, pins: np.ndarray) -> TreeModel:
     node_pins = pins[labels]
     if node_pins[0] != 0:
         raise ConditioningError(f"query vertex {int(labels[0])} is pinned")
-    clamp = np.where(node_pins, node_pins, st.fixed)
-    return TreeModel(st.tree, st.edge_beta, m.graph.h[labels], clamp)
+    return TreeModel(st.tree, st.edge_beta, st.h, np.where(node_pins, node_pins, st.clamp))
 
 
-def saw_marginal_from_tree(st: SawTree, m: IsingModel,
+def saw_marginal_from_tree(st: TreeModel, m: IsingModel,
                            cond: dict[int, int] | None = None) -> float:
     """Root marginal of an already-built walk tree under a conditioning."""
-    return root_marginal(tree_model(st, m, merge_conditioning(m, cond)))
+    return root_marginal(tree_model(st, merge_conditioning(m, cond)))
 
 
 def saw_marginal_bracket(m: IsingModel, v: int, depth_limit: int,
@@ -293,4 +275,4 @@ def saw_marginal_bracket(m: IsingModel, v: int, depth_limit: int,
     in the boundary, so the pair brackets the untruncated value.
     """
     st = build_saw_tree(m.graph, v, depth_limit, max_nodes=max_nodes)
-    return boundary_bracket(tree_model(st, m, merge_conditioning(m, cond)), depth_limit)
+    return boundary_bracket(tree_model(st, merge_conditioning(m, cond)), depth_limit)

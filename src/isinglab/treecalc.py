@@ -10,8 +10,8 @@ coupling with the pin's sign exactly.  The fold runs in one descending
 pass thanks to the level order of RootedTree (see kernels.tree_root_field).
 Pinning the free depth-l sphere all minus and all plus brackets the root
 marginal; both ends fold together one depth level at a time, each level
-a slice of the tree's arrays (kernels.tree_bracket_levels).  Walk trees
-are evaluated here too, through sawtree.tree_model.
+a slice of the tree's arrays (kernels.tree_bracket_levels).  The walk
+trees sawtree builds are TreeModels too, so they are evaluated here.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ class TreeModel:
     edge_beta: np.ndarray  # float64 per node, coupling to parent; entry 0 unused
     h: np.ndarray  # float64 per node
     clamp: np.ndarray  # int8 per node
+
+    @property
+    def size(self) -> int:
+        return self.tree.size
 
 
 def make_tree_model(tree: RootedTree, edge_beta, h=None, clamp=None) -> TreeModel:

@@ -62,6 +62,7 @@ from .treecalc import boundary_influence, make_tree_model
 from .rng import POISSON_MEAN_CAP, substream
 
 DEFAULT_MASTER_SEED = 20260822
+REPORT_FAILURE_ROWS = 20  # format_report lists at most this many failing rows
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,12 @@ def _timed(fn):
 def random_connected_model(rng: np.random.Generator, min_n: int = 2, max_n: int = 8,
                            beta_lo: float = 0.0, beta_hi: float = 1.0,
                            h_lo: float = -1.0, h_hi: float = 1.0,
-                           extra_edges: int | None = None,
-                           extra_p: float = 0.18) -> IsingModel:
+                           extra_edges: int | None = None) -> IsingModel:
     """Random connected model: a random tree plus a few chord edges.
 
     With ``extra_edges`` set, exactly that many chords are added at random
     non-edges (when room allows); otherwise each non-edge appears with
-    probability ``extra_p``.
+    probability 0.18.
     """
     n = int(rng.integers(min_n, max_n + 1))
     edges: dict[tuple[int, int], float] = {}
@@ -132,7 +132,7 @@ def random_connected_model(rng: np.random.Generator, min_n: int = 2, max_n: int 
                 edges[non_edges[k]] = float(rng.uniform(beta_lo, beta_hi))
     else:
         for uv in non_edges:
-            if rng.random() < extra_p:
+            if rng.random() < 0.18:
                 edges[uv] = float(rng.uniform(beta_lo, beta_hi))
     h = rng.uniform(h_lo, h_hi, size=n)
     return make_model(
@@ -812,17 +812,17 @@ def run_suite(name: str, overrides: dict | None = None) -> list[SuiteReport]:
             for fn, p in zip(SUITES[name], params)]
 
 
-def format_report(report: SuiteReport, max_failures: int = 20) -> str:
+def format_report(report: SuiteReport) -> str:
     """Human-readable summary with failing rows enumerated."""
     ok, total = report.counts
     status = "PASS" if report.passed else "FAIL"
     lines = [f"[{report.suite}] {ok}/{total} checks pass ({report.elapsed:.1f}s)  {status}"]
-    for row in report.failures()[:max_failures]:
+    for row in report.failures()[:REPORT_FAILURE_ROWS]:
         lines.append(
             f"  FAIL {row.label}: {row.measured:.6g} {row.relation} {row.bound:.6g}"
             + (f"  ({row.note})" if row.note else "")
         )
-    extra = len(report.failures()) - max_failures
+    extra = len(report.failures()) - REPORT_FAILURE_ROWS
     if extra > 0:
         lines.append(f"  ... and {extra} more failures")
     return "\n".join(lines)

@@ -16,6 +16,7 @@ from isinglab.graph import generate_erdos_renyi, read_graph, write_graph
 from isinglab.model import make_model
 from isinglab.rng import substream
 from isinglab.sawtree import build_saw_tree, tree_model
+from test_sawtree import boundary
 from test_treecalc import two_fold_bracket
 
 SCAN_INI = """\
@@ -201,8 +202,8 @@ def _reference_decay_scan(cfg_path):
             except BudgetError:
                 lines.append(f"{v},{l},nan,0,nan,budget")
                 continue
-            lo, hi = two_fold_bracket(tree_model(st, m, g.clamp), l)
-            sphere = int(st.boundary.size)
+            lo, hi = two_fold_bracket(tree_model(st, g.clamp), l)
+            sphere = int(boundary(st, l).size)
             bound = sphere * math.tanh(m.beta_max) ** l
             lines.append(f"{v},{l},{hi - lo:.9g},{sphere},{bound:.9g},ok")
     return "".join(line + "\n" for line in lines)

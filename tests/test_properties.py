@@ -55,7 +55,7 @@ from isinglab.sawtree import (  # noqa: E402
 )
 from isinglab.treecalc import TreeModel, boundary_bracket  # noqa: E402
 from test_dynamics import chain_steps_counted  # noqa: E402
-from test_sawtree import saw_marginal  # noqa: E402
+from test_sawtree import boundary, saw_marginal  # noqa: E402
 from test_treecalc import two_fold_bracket, with_pins  # noqa: E402
 
 NODE_BUDGET = 5000
@@ -232,25 +232,29 @@ def test_forest_builder_matches_depth_first_oracle(case, data):
         with pytest.raises(BudgetError):
             saw_tree_sizes(g, roots, depth, max_nodes)
         return
+    h = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=g.n, max_size=g.n)))
+    g = g.with_vertex_data(h=h)
     got = list(build_saw_trees(g, roots, depth, max_nodes))
     assert len(got) == len(roots)
-    h = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=g.n, max_size=g.n)))
-    for tree, v in zip(got, roots):
-        built = (tree.tree.parent, tree.tree.depth, tree.tree.label, tree.edge_beta, tree.fixed)
-        for a, b in zip(built, _level_order(*want[v])):
+    for tm, v in zip(got, roots):
+        # the fields are the graph's at each node's vertex, and the clamps
+        # are the oracle's cycle-closure pins
+        built = (tm.tree.parent, tm.tree.depth, tm.tree.label, tm.edge_beta, tm.clamp)
+        want_level = _level_order(*want[v])
+        for a, b in zip(built, want_level):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
-        assert np.all(np.diff(tree.tree.depth) >= 0)
-        assert np.all(np.diff(tree.tree.parent) >= 0)
+        assert tm.h.dtype == np.float64 and tm.h.tobytes() == h[want_level[2]].tobytes()
+        assert np.all(np.diff(tm.tree.depth) >= 0)
+        assert np.all(np.diff(tm.tree.parent) >= 0)
         # both layouts fold each child before its parent, and each parent's
         # children in descending sibling order, so the root field keeps its bits
         parent, _, label, edge_beta, fixed = want[v]
-        field = kernels.tree_root_field(tree.tree.parent, tree.edge_beta,
-                                        h[tree.tree.label], tree.fixed)
+        field = kernels.tree_root_field(tm.tree.parent, tm.edge_beta, tm.h, tm.clamp)
         assert field.hex() == kernels.tree_root_field(parent, edge_beta, h[label], fixed).hex()
     sizes = saw_tree_sizes(g, roots, depth, max_nodes)
     assert sizes.dtype == np.int64
-    assert sizes.tolist() == [tree.size for tree in got]
+    assert sizes.tolist() == [tm.size for tm in got]
 
 
 @st.composite
@@ -305,9 +309,9 @@ def test_brackets_at_radii_match_one_build_per_radius(case, data):
             assert row is None, l
             continue
         bracket, sphere = row
-        expect = boundary_bracket(tree_model(want[l], m, g.clamp), l)
+        expect = boundary_bracket(tree_model(want[l], g.clamp), l)
         assert [p.hex() for p in bracket] == [p.hex() for p in expect]
-        assert type(sphere) is int and sphere == want[l].boundary.size
+        assert type(sphere) is int and sphere == boundary(want[l], l).size
 
 
 @st.composite
@@ -324,6 +328,47 @@ def clamped_models(draw, fields=st.floats(-4.0, 4.0)):
     clamp[draw(st.integers(0, n - 1))] = 0  # at least one free vertex
     g = graph_from_edges(n, [(u, v, b) for (u, v), b in edges.items()], h=h, clamp=clamp)
     return make_model(g)
+
+
+def _reference_tree_model(m, v, depth_limit, pins):
+    """v's walk tree under ``pins`` as the oracle's arrays gave it, field and all.
+
+    The tree is the depth-first oracle's in level order; the fields are
+    gathered from the model at every node's vertex and the pins copied
+    over the cycle-closure pins, rejecting a pinned root.
+    """
+    parent, depth, label, edge_beta, fixed = _level_order(
+        *_reference_expand(m.graph, v, depth_limit, NODE_BUDGET))
+    node_pins = pins[label]
+    if node_pins[0] != 0:
+        raise ConditioningError(f"query vertex {v} is pinned")
+    clamp = np.where(node_pins, node_pins, fixed)
+    return TreeModel(make_rooted_tree(parent, depth, label), edge_beta, m.graph.h[label], clamp)
+
+
+def _tree_model_arrays(tm):
+    return tm.tree.parent, tm.tree.depth, tm.tree.label, tm.edge_beta, tm.h, tm.clamp
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(clamped_models(), st.data())
+def test_tree_model_matches_reference_construction(m, data):
+    free = m.graph.free_vertices().tolist()
+    # v itself may be clamped or conditioned, which tree_model must reject
+    v = data.draw(st.one_of(st.sampled_from(free), st.integers(0, m.n - 1)))
+    depth = data.draw(st.integers(0, m.n + 1))
+    cond = data.draw(st.dictionaries(st.sampled_from(free), spin))
+    pins = merge_conditioning(m, cond)
+    walk = build_saw_tree(m.graph, v, depth)
+    try:
+        want = _reference_tree_model(m, v, depth, pins)
+    except ConditioningError:
+        with pytest.raises(ConditioningError):
+            tree_model(walk, pins)
+        return
+    for a, b in zip(_tree_model_arrays(tree_model(walk, pins)), _tree_model_arrays(want)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 def _reference_draw(m, depth, stream):
@@ -835,7 +880,7 @@ def bracket_cases(draw):
         v = draw(st.sampled_from(free))
         cond = draw(st.dictionaries(st.sampled_from(free).filter(lambda u: u != v), spin))
         walk = build_saw_tree(m.graph, v, draw(st.integers(0, m.n + 1)))
-        tm = tree_model(walk, m, merge_conditioning(m, cond))
+        tm = tree_model(walk, merge_conditioning(m, cond))
     return tm, draw(st.integers(0, int(tm.tree.depth.max()) + 2))
 
 

@@ -26,7 +26,15 @@ def saw_marginal(m, v, depth_limit, cond=None):
     return saw_marginal_from_tree(build_saw_tree(m.graph, v, depth_limit), m, cond=cond)
 
 
-def saw_tree_dump(st):
+def boundary(st, depth_limit):
+    """Free truncation surface of a walk tree built to ``depth_limit``.
+
+    Its nodes at that depth that close no cycle, as int64 indices.
+    """
+    return np.flatnonzero((st.tree.depth == depth_limit) & (st.clamp == 0))
+
+
+def saw_tree_dump(st, depth_limit):
     """Indented one-node-per-line rendering for golden-file comparisons.
 
     Nodes are rendered depth first from the root, each node's children in
@@ -35,13 +43,13 @@ def saw_tree_dump(st):
     lines = []
     marks = {0: "", 1: " pin:+", -1: " pin:-"}
     on_boundary = np.zeros(st.size, dtype=bool)
-    on_boundary[st.boundary] = True
+    on_boundary[boundary(st, depth_limit)] = True
     children = [[] for _ in range(st.size)]
     for i in range(1, st.size):
         children[int(st.tree.parent[i])].append(i)
 
     def render(i):
-        tag = " boundary" if on_boundary[i] else marks[int(st.fixed[i])]
+        tag = " boundary" if on_boundary[i] else marks[int(st.clamp[i])]
         lines.append(f"{'  ' * int(st.tree.depth[i])}v{int(st.tree.label[i])}{tag}")
         for c in children[i]:
             render(c)
@@ -65,14 +73,14 @@ def test_triangle_walk_tree_golden():
     # both orientations of the cycle appear; the closure pin depends on
     # whether the walk closes onto the higher or lower endpoint
     st = build_saw_tree(cycle_graph(3, 0.5), 0, 10)
-    assert saw_tree_dump(st) == TRIANGLE_DUMP
+    assert saw_tree_dump(st, 10) == TRIANGLE_DUMP
 
 
 def test_tree_graph_walk_tree_is_the_tree():
     g = path_graph(5, 0.7)
     st = build_saw_tree(g, 2, 10)
     assert st.size == 5
-    assert np.count_nonzero(st.fixed) == 0
+    assert np.count_nonzero(st.clamp) == 0
 
 
 def test_walk_tree_size_matches_build():
@@ -100,8 +108,8 @@ def test_walk_tree_layout_pinned():
                 for a in (st.tree.parent, st.tree.depth, st.tree.label):
                     h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
                 h.update(np.ascontiguousarray(st.edge_beta, dtype=np.float64).tobytes())
-                h.update(np.ascontiguousarray(st.fixed, dtype=np.int8).tobytes())
-                h.update(np.ascontiguousarray(st.boundary, dtype=np.int64).tobytes())
+                h.update(np.ascontiguousarray(st.clamp, dtype=np.int8).tobytes())
+                h.update(np.ascontiguousarray(boundary(st, L), dtype=np.int64).tobytes())
                 assert saw_tree_size(g, root, L) == st.size
     assert h.hexdigest() == LAYOUT_SHA256
 
@@ -110,7 +118,7 @@ def test_numpy_integer_root_gives_same_tree():
     g = generate_erdos_renyi(60, 3.0, 2, beta=0.37)
     a = build_saw_tree(g, 14, 4)
     b = build_saw_tree(g, np.int64(14), 4)
-    assert saw_tree_dump(a) == saw_tree_dump(b)
+    assert saw_tree_dump(a, 4) == saw_tree_dump(b, 4)
     assert np.array_equal(a.tree.parent, b.tree.parent)
     assert np.array_equal(a.edge_beta, b.edge_beta)
     assert b.tree.label.dtype == np.int64 and int(b.tree.label[0]) == 14
@@ -120,11 +128,10 @@ def test_numpy_integer_root_gives_same_tree():
 def test_depth_limit_creates_boundary():
     g = cycle_graph(8, 0.4)
     st = build_saw_tree(g, 0, 3)
-    assert st.boundary.size > 0
-    assert np.all(st.tree.depth[st.boundary] == 3)
-    assert np.all(st.fixed[st.boundary] == 0)
+    assert boundary(st, 3).size > 0
+    assert not np.isin(boundary(st, 3), st.tree.parent).any()  # truncated: no children
     full = build_saw_tree(g, 0, 8 + 1)
-    assert full.boundary.size == 0
+    assert boundary(full, 8 + 1).size == 0
 
 
 def test_marginal_equals_enumeration_on_loopy_graphs():
@@ -183,7 +190,7 @@ def test_node_budget_enforced():
     # one growth for several radii marks the radii past the budget instead
     m = make_model(g)
     small, big = saw_brackets_at_radii(m, 0, [2, 11], 500, g.clamp)
-    assert small == (saw_marginal_bracket(m, 0, 2), build_saw_tree(g, 0, 2).boundary.size)
+    assert small == (saw_marginal_bracket(m, 0, 2), boundary(build_saw_tree(g, 0, 2), 2).size)
     assert big is None
 
 

@@ -79,7 +79,7 @@ runs.append(dynamics.monotone_coupled_run(clamped, 50_000,
 m = model.make_model(er)
 chain = dynamics.run_chain(m, model.all_minus(m), 1000, dynamics.UpdateStream(m, 4))
 st = sawtree.build_saw_tree(er, 0, 4)
-tm = sawtree.tree_model(st, m, m.graph.clamp)
+tm = sawtree.tree_model(st, m.graph.clamp)
 treecalc.root_field(tm)
 bracket = [p.hex() for p in treecalc.boundary_bracket(tm, 3)]
 decay = io.StringIO()
@@ -127,7 +127,7 @@ def test_tracer_counts_a_traced_run(tmp_path, capsys):
     assert untraced.count(",budget") == 1
     assert out["decay"] == untraced
     er = generate_erdos_renyi(80, 2.0, 5, beta=0.2)
-    tm = tree_model(build_saw_tree(er, 0, 4), make_model(er), er.clamp)
+    tm = tree_model(build_saw_tree(er, 0, 4), er.clamp)
     assert out["bracket"] == [p.hex() for p in boundary_bracket(tm, 3)]
     star = make_model(star_graph(6, 0.9))
     runs = [monotone_coupled_run(star, 100_000, UpdateStream(star, 12, chain_id=1))]
