@@ -22,11 +22,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import itertools
 import json
 import math
 import multiprocessing
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -294,14 +296,15 @@ def model_from_section(sec: dict) -> tuple[WeightedGraph, str]:
     return g, tag
 
 
-def _emit(path: str | None, lines: list[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
+def _emit(path: str | None, lines: Iterable[str], end: str = "\n") -> None:
+    """Write each of ``lines`` and ``end`` to ``path``, or to stdout for None or "-"."""
+    text = (line + end for line in lines)
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         return
     try:
         with open(path, "w") as out:
-            out.write(text)
+            out.writelines(text)
     except OSError as e:
         raise ConfigError(f"cannot write output {path}: {e}") from e
 
@@ -420,7 +423,8 @@ def cmd_sample(args) -> int:
         "master_seed": master,
         "runs": [run.to_json_dict() for run in runs],
     }
-    _emit(args.output, [json.dumps(doc, indent=2, sort_keys=True)])
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    _emit(args.output, itertools.chain(chunks, ["\n"]), end="")  # streamed, never joined
     return 0
 
 

@@ -2,8 +2,9 @@
 
 The central type is :class:`WeightedGraph`, a CSR adjacency over vertices
 0..n-1 with one nonnegative coupling per edge, a field per vertex, and an
-optional clamp (+1/-1) per vertex.  Arrays are frozen after construction;
-all derived objects (balls, subgraphs) copy what they need.
+optional clamp (+1/-1) per vertex.  Arrays are frozen after construction.
+Tables the hot paths read (``adjacency``, ``reverse``, ``plus_prob_bounds``)
+are cached on first use; derived objects (balls, subgraphs) copy what they need.
 
 Vertex sets here use plain sorted numpy arrays; neighbor lists are sorted
 ascending, which the tree constructions below rely on for determinism.
@@ -57,6 +58,15 @@ class WeightedGraph:
         indptr = self.indptr.tolist()
         pairs = list(zip(self.indices.tolist(), self.weights.tolist()))
         return tuple(tuple(pairs[indptr[v]:indptr[v + 1]]) for v in range(self.n))
+
+    @cached_property
+    def reverse(self) -> np.ndarray:
+        """``reverse[e]``: the index of half-edge e's reverse, built on first use.
+
+        The CSR sorts half-edges by (row, neighbour), so sorting them by
+        (neighbour, row) lists their reverses in CSR order.
+        """
+        return _freeze(np.lexsort((self.rows(), self.indices)))
 
     @cached_property
     def plus_prob_bounds(self) -> tuple[list[float], list[float]]:

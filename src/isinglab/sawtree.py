@@ -20,11 +20,13 @@ earlier vertex w_j, the new leaf is pinned + exactly when the closing
 edge ranks above the edge the walk originally left w_j by, comparing the
 two neighbor endpoints w_m and w_{j+1} as integers.
 
-Trees are built level by level in numpy, many roots per level pass: each
-level's children come from the CSR rows of the walks that continue, a
-closure is found by chasing each child's ancestors, and each tree keeps
-the order it was grown in: depth by depth, each level grouped by parent
-with children in ascending neighbor order.  :func:`saw_brackets_at_radii`
+Trees are built level by level in numpy, many roots per level pass.  A
+walk's children come from its endpoint's CSR row less the reverse of the
+half-edge it arrived by, and a child can close a cycle only if its
+vertex's bit (vertex mod 64) is in the walk's mask of its vertices, so
+only those children have their ancestors chased.  Each tree keeps the
+order it was grown in: depth by depth, each level grouped by parent with
+children in ascending neighbor order.  :func:`saw_brackets_at_radii`
 folds the levels without assembling a tree.  Per-root node counts are
 known before a level is built, so a node budget is enforced without
 building the level that would pass it.  Roots share passes in chunks of at most
@@ -51,6 +53,8 @@ DEFAULT_NODE_BUDGET = 10**7
 # larger is built on its own, bounded by max_nodes only.
 CHUNK_NODES = 1 << 13
 
+_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)  # w's walk-mask bit: _BIT[w & 63]
+
 
 def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
                     max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[TreeModel]:
@@ -65,7 +69,7 @@ def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
     """
     roots = _check_roots(g, roots, depth_limit)
     for levels, counts in _forests(g, roots, depth_limit, max_nodes, count_only=False):
-        yield from _level_trees(levels, counts, g.h)
+        yield from _level_trees(levels, counts, g)
 
 
 def saw_brackets_at_radii(m: IsingModel, v: int, radii, max_nodes: int,
@@ -84,8 +88,10 @@ def saw_brackets_at_radii(m: IsingModel, v: int, radii, max_nodes: int,
     levels, _, reached = _grow_forest(g, roots, max(radii, default=0), max_nodes, False)
     if pins[v] != 0 and any(l <= reached for l in radii):
         raise ConditioningError(f"query vertex {v} is pinned")
-    cols = [(par, beta, g.h[vert], np.where(pins[vert], pins[vert], pin))
-            for par, vert, _, beta, pin in levels]
+    top = max((l for l in radii if l <= reached), default=-1)  # the deepest level folded
+    cols = [(par, g.weights[edge] if k else np.zeros(edge.size), g.h[vert],
+             np.where(pins[vert], pins[vert], pin))
+            for k, (par, vert, _, edge, pin) in enumerate(levels[:top + 1])]
     return [None if l > reached else
             (tuple(map(plus_prob, kernels.tree_bracket_levels(cols[:l + 1], l))),
              int(np.count_nonzero(levels[l][4] == 0)) if l < len(levels) else 0)
@@ -150,31 +156,33 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
     """Grow the walk trees of ``roots``, or of the prefix that fits CHUNK_NODES.
 
     Returns ``(levels, counts, reached)``.  ``levels[k]`` is a tuple (parent, vertex,
-    root, beta, pin) of arrays over the depth-k nodes of every tree:
-    parent indexes ``levels[k - 1]``, root indexes the kept roots, beta is
-    the coupling to the parent and pin the cycle-closure pin.  A level is
-    grouped by parent in parent order, with each parent's children in
-    ascending neighbor order, so it is also grouped by root in root order.
-    ``counts[r]`` is root r's node count.  Roots are dropped from the end
-    while the forest would pass CHUNK_NODES nodes and more than one root
-    is left.  With ``count_only`` the deepest level is counted, not built.
+    root, edge, pin) of arrays over the depth-k nodes of every tree:
+    parent indexes ``levels[k - 1]``, root indexes the kept roots, edge is
+    the CSR half-edge from the parent's vertex (-1 at a root), and pin is
+    the cycle-closure pin.  A level is grouped by parent in parent order,
+    with each parent's children in ascending neighbor order, so it is also
+    grouped by root in root order.  ``counts[r]`` is root r's node count.
+    Roots are dropped from the end while the forest would pass CHUNK_NODES
+    nodes and more than one root is left.  With ``count_only`` the deepest
+    level is counted, not built.
     Growth stops at ``reached`` = k when some tree would pass ``max_nodes``
     nodes at depth k + 1; otherwise ``reached`` is ``depth_limit``.
     """
-    indptr, indices, weights = g.indptr, g.indices, g.weights
+    indptr, indices = g.indptr, g.indices
     nroots = roots.size
     counts = np.ones(nroots, dtype=np.int64)
     levels = [(np.full(nroots, -1, dtype=np.int64), roots, np.arange(nroots),
-               np.zeros(nroots), np.zeros(nroots, dtype=np.int8))]
+               np.full(nroots, -1, dtype=np.int64), np.zeros(nroots, dtype=np.int8))]
+    mask = _BIT[roots & 63] if depth_limit - count_only > 2 else None  # if a level is chased
     for k in range(depth_limit):
-        _, vertex, root, _, pin = levels[k]
+        _, vertex, root, edge, pin = levels[k]
         node = np.flatnonzero(pin == 0)  # walks that continue
         at = vertex[node]
         start = indptr[at]
-        deg = indptr[at + 1] - start
         # each continues to every neighbor but the previous vertex, as the
         # graph is simple
-        grown = counts + np.bincount(root[node], weights=deg - (k > 0),
+        deg = indptr[at + 1] - start - (k > 0)
+        grown = counts + np.bincount(root[node], weights=deg,
                                      minlength=nroots).astype(np.int64)
         if ((grown > max_nodes) & (grown > counts)).any():
             return levels, counts, k
@@ -192,43 +200,50 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
             break
         parent = np.repeat(node, deg)
         ends = np.cumsum(deg)
-        edge = np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + deg, deg)
-        vert = indices[edge]
-        if k > 0:
-            anc = levels[k][0][parent]  # at depth k - 1
-            after = levels[k - 1][1][anc]
-            fwd = after != vert
-            parent, edge, vert, anc, after = (a[fwd] for a in (parent, edge, vert, anc, after))
+        child = np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + deg, deg)
+        if k > 0:  # step over the reverse of the in-edge, back to the previous vertex
+            child += child >= np.repeat(g.reverse[edge[node]], deg)
+        vert = indices[child]
         if vert.size == 0:
             break
         new_pin = np.zeros(vert.size, dtype=np.int8)
+        if mask is not None:
+            bit, held = _BIT[vert & 63], mask[parent]
+            mask = held | bit
         if k > 1:
             # A child closes a cycle when its vertex is on the walk already,
-            # at some depth j <= k - 2.  Chase ancestors one level up at a
-            # time, keeping the walk's vertex at depth j + 1, which the pin
-            # compares with the walk's vertex at depth k.
-            closed_after = np.full(vert.size, -1)
+            # at some depth j <= k - 2, so only when its bit is in the
+            # parent's mask.  Chase those children's ancestors one level up
+            # at a time, keeping the walk's vertex at depth j + 1, which the
+            # pin compares with the walk's vertex at depth k.
+            cand = np.flatnonzero(held & bit)
+            up, x = parent[cand], vert[cand]
+            anc = levels[k][0][up]  # at depth k - 1
+            after = levels[k - 1][1][anc]
+            closed_after = np.full(cand.size, -1)
             for j in range(k - 2, -1, -1):
                 anc = levels[j + 1][0][anc]
                 on_walk = levels[j][1][anc]
-                closed_after = np.where(on_walk == vert, after, closed_after)
+                closed_after = np.where(on_walk == x, after, closed_after)
                 after = on_walk
             closed = closed_after >= 0
-            new_pin[closed] = np.where(vertex[parent[closed]] > closed_after[closed], 1, -1)
-        levels.append((parent, vert, levels[k][2][parent], weights[edge], new_pin))
+            new_pin[cand[closed]] = np.where(vertex[up[closed]] > closed_after[closed], 1, -1)
+        levels.append((parent, vert, root[parent], child, new_pin))
     return levels, counts, depth_limit
 
 
-def _level_trees(levels, counts: np.ndarray, h: np.ndarray) -> Iterator[TreeModel]:
+def _level_trees(levels, counts: np.ndarray, g: WeightedGraph) -> Iterator[TreeModel]:
     """Yield each tree of the forest with its nodes in the builder's level order.
 
     Every level is grouped by root in root order, so a stable sort of the
     concatenated levels by root gives each tree its levels in depth order.
-    Fields are gathered from ``h`` and the clamps are the cycle-closure pins.
+    Couplings and fields are gathered from ``g`` and the clamps are the
+    cycle-closure pins.
     """
     sizes = [lv[0].size for lv in levels]
     depth = np.repeat(np.arange(len(levels)), sizes)
-    parent, vertex, root, beta, pin = (np.concatenate(a) for a in zip(*levels))
+    parent, vertex, root, edge, pin = (np.concatenate(a) for a in zip(*levels))
+    beta = np.concatenate([np.zeros(sizes[0]), g.weights[edge[sizes[0]:]]])  # roots first
     parent += (np.cumsum(sizes) - sizes)[depth - 1]  # into the forest; roots reset below
     order = np.argsort(root, kind="stable")
     rank = np.empty_like(order)
@@ -237,7 +252,7 @@ def _level_trees(levels, counts: np.ndarray, h: np.ndarray) -> Iterator[TreeMode
     parent = rank[parent[order]] - offset[root[order]]
     parent[offset] = -1
     depth, vertex, beta, pin = depth[order], vertex[order], beta[order], pin[order]
-    field = h[vertex]
+    field = g.h[vertex]
     for lo, n in zip(offset.tolist(), counts.tolist()):
         part = slice(lo, lo + n)
         tree = make_rooted_tree(parent[part], depth[part], vertex[part])

@@ -684,6 +684,7 @@ def structure_suite(n: int = 5000, graphs: int = 10, d: float = 2.0,
             f"graph-{gi}-submultiplicative", worst_ratio, 1.0,
             worst_ratio <= 1.0, note=f"base={base}",
         ))
+        del g  # with its cached neighbour tables, before the next graph is generated
 
     violations = 0
     checked = 0

@@ -279,6 +279,23 @@ def test_sample_budget_failure_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sample_to_stdout_matches_the_file(tmp_path, capsys):
+    cfg = write(tmp_path, "pin.ini", SAMPLE_PIN_INI)
+    out = tmp_path / "pin.json"
+    assert run(["sample", "-c", cfg, "-o", str(out)]) == 0
+    assert run(["sample", "-c", cfg, "-o", "-"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_sample_into_a_missing_directory_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "sample.ini", SAMPLE_INI)
+    out = tmp_path / "no-such-dir" / "s.json"
+    assert run(["sample", "-c", cfg, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output {out}") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_graph_gen_output_parses(tmp_path):
     cfg = write(tmp_path, "gen.ini", GEN_INI)
     out = tmp_path / "g.graph"

@@ -190,6 +190,13 @@ def test_adjacency_cached_and_equal_to_arrays():
         g.indptr = g.indptr
 
 
+def test_reverse_half_edges_on_edgeless_graphs_and_a_cycle():
+    for g in (graph_from_edges(1, []), graph_from_edges(3, [])):
+        assert g.reverse.dtype == np.int64 and g.reverse.size == 0
+    g = cycle_graph(4, 0.5)  # rows 0: 1 3, 1: 0 2, 2: 1 3, 3: 0 2
+    assert g.reverse.tolist() == [2, 6, 0, 4, 3, 7, 1, 5]
+
+
 def test_ball_excesses_match_ball_subgraphs():
     graphs = [
         path_graph(1), path_graph(5), path_graph(9), cycle_graph(3),

@@ -121,6 +121,18 @@ def test_csr_is_symmetric_sorted_and_round_trips_through_text(graph, data):
     assert again.getvalue() == text.getvalue()
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(edge_lists())
+def test_reverse_pairs_each_half_edge_with_its_mirror(graph):
+    n, edges = graph
+    g = graph_from_edges(n, edges)
+    rev = g.reverse
+    assert rev.dtype == np.int64 and rev.shape == g.indices.shape
+    assert np.array_equal(rev[rev], np.arange(rev.size))
+    assert np.array_equal(g.indices[rev], g.rows())
+    assert g.reverse is rev and not rev.flags.writeable
+
+
 def _reference_expand(g, v, depth_limit, max_nodes):
     """Depth-first walk-tree construction, one node at a time.
 
@@ -184,21 +196,30 @@ def _reference_expand(g, v, depth_limit, max_nodes):
 def forest_cases(draw):
     """(graph, roots, depth, max_nodes) for the forest builder.
 
-    Half the cases are dense graphs on at most 10 vertices, deep enough
-    that one walk tree has thousands of nodes, with root lists long enough
-    to span several chunks.
+    A third of the cases are sparse graphs on at most 30 vertices.  The
+    others are dense on 6 to 9 vertices, deep enough that one walk tree
+    has thousands of nodes, with root lists long enough to span several
+    chunks.  In half of those the vertex ids are 64 i + c for one to three
+    residues c, so vertices share a walk-mask bit and many children pass
+    the mask without closing a cycle; the other vertices are isolated.
     """
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["sparse", "dense", "colliding"]))
+    if kind == "sparse":
         n, edges = draw(edge_lists())
         depth = draw(st.integers(0, 6))
         roots = draw(st.lists(st.integers(0, n - 1), max_size=20))
     else:
-        n = draw(st.integers(6, 9))
+        k = draw(st.integers(6, 9))
+        ids = list(range(k))
+        if kind == "colliding":
+            residues = draw(st.lists(st.integers(0, 63), min_size=1, max_size=3, unique=True))
+            ids = [64 * (i // len(residues)) + residues[i % len(residues)] for i in range(k)]
+        n = max(ids) + 1
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        edges = [(u, v, (u + 2 * v) / 16.0) for u in range(n) for v in range(u + 1, n)
+        edges = [(u, v, (u + 2 * v) / 16.0) for i, u in enumerate(ids) for v in ids[i + 1:]
                  if rng.random() < 0.55]
         depth = draw(st.integers(5, 8))
-        roots = rng.integers(0, n, size=draw(st.integers(8, 40))).tolist()
+        roots = rng.choice(ids, size=draw(st.integers(8, 40))).tolist()
     max_nodes = draw(st.one_of(st.just(3 * CHUNK_NODES), st.integers(1, 3 * CHUNK_NODES)))
     return graph_from_edges(n, edges), roots, depth, max_nodes
 
