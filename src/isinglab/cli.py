@@ -11,6 +11,8 @@ parser, default and domain (the *_KEYS tables).  A section or key the
 command does not declare, a value that does not parse and a value outside
 its key's domain are configuration errors.  A [model] given by file takes
 no generator key and no h, and [sample] takes exactly one of L and r.
+[verify] takes the chosen suite's parameters, and checks each part's
+arguments, defaults included, against VERIFY_DOMAINS.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or usage
 error.  The worker count for process-parallel sweeps comes from the
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import io
 import itertools
 import json
@@ -47,17 +50,10 @@ from .graph import (
     write_graph,
 )
 from .model import clamp_large_fields, make_model
-from .rng import substream
+from .rng import POISSON_MEAN_CAP, substream
 from .sampler import algorithm1_samples, radius_for
 from .sawtree import saw_brackets_at_radii
-from .verify import (
-    DEFAULT_MASTER_SEED,
-    at_least,
-    degree_within,
-    er_coupling_run,
-    poisson_mean,
-    star_coupling_run,
-)
+from .verify import DEFAULT_MASTER_SEED, TREND_SIZES, er_coupling_run, star_coupling_run
 
 
 class ConfigError(IsinglabError):
@@ -98,13 +94,12 @@ def config_echo_lines(cfg: configparser.ConfigParser) -> list[str]:
 
 # A key table holds key: (parser, default, domain) for every key of a
 # section.  A parser maps the raw text to a value or raises ValueError or
-# KeyError; REQUIRED marks a key without a default.  A domain has the form
-# of verify's: (value, the values of the keys declared before it) -> what
-# the value must be, or None when it is valid.  List items are checked one
-# by one; defaults are not checked.  Where the key set depends on what the
-# section holds, a command passes (a function naming the variant of the
-# section's raw items, the table of each variant): _MODEL, _COUPLING_SCAN
-# and _SAMPLE.
+# KeyError; REQUIRED marks a key without a default.  A domain maps (value,
+# the values of the keys declared before it) to what the value must be, or
+# None when it is valid.  List items are checked one by one; defaults are
+# not checked.  Where the key set depends on what the section holds, a
+# command passes (a function naming the variant of the section's raw
+# items, the table of each variant): _MODEL, _COUPLING_SCAN and _SAMPLE.
 REQUIRED = object()
 
 
@@ -149,6 +144,22 @@ def _number(raw: str) -> int | float:
         return int(raw)
     except ValueError:
         return _finite(raw)
+
+
+def at_least(lo: int | float):
+    return lambda x, args: None if x >= lo else f">= {lo}"
+
+
+def poisson_mean(x: float, args: dict) -> str | None:  # where Poisson inversion is exact
+    return None if 0 < x <= POISSON_MEAN_CAP else f"in (0, {POISSON_MEAN_CAP:g}]"
+
+
+def degree_within(key: str):
+    """Domain of an Erdos-Renyi mean degree: in [0, n] for each n in args[key]."""
+    def need(x: float, args: dict) -> str | None:
+        hi = min(args[key]) if isinstance(args[key], (list, tuple)) else args[key]
+        return None if 0 <= x <= hi else f"in [0, {hi}]"
+    return need
 
 
 _INTS, _FLOATS = _words(int), _words(_finite)
@@ -214,6 +225,32 @@ GW_KEYS = {  # [gw]
     "d": (_finite, 2.0, poisson_mean), "radii": (_INTS, [4, 6, 8], _scale_of_radius),
     "seeds": (int, 10000, at_least(1)), "t": (_finite, 1.0, None),
     "master_seed": _MASTER_SEED,
+}
+
+
+def _mean_degree(x: float, args: dict) -> str | None:
+    if "n" not in args:  # coupling-trend: Erdos-Renyi graphs on each of TREND_SIZES
+        return degree_within("n")(x, {"n": TREND_SIZES})
+    # structure: Erdos-Renyi graphs on n vertices and Poisson(d) branching trees
+    return poisson_mean(x, args) or degree_within("n")(x, args)
+
+
+# Domain of each [verify] key, a suite parameter of the same kind in every
+# suite that takes it.  Instance counts start at 1, as a run with no
+# instance reads as a failed check, and max_runs at the min_runs it would
+# cut short; means follow the generators' own domains.
+VERIFY_DOMAINS = {
+    **{key: at_least(1) for key in (
+        "models", "trees", "draws", "seeds", "graphs", "max_len", "cap", "n",
+        "min_runs", "sphere_trees")},
+    **{key: at_least(2) for key in ("max_n", "max_depth")},
+    **{key: at_least(0) for key in (
+        "removals", "random_models", "trunc_depth", "min_steps", "excess_bound",
+        "radius", "tol", "exact_tol", "beta")},
+    "offspring": poisson_mean,
+    "d": _mean_degree,
+    "sample_vertices": lambda x, args: None if 1 <= x <= args["n"] else "in [1, n]",
+    "max_runs": lambda x, args: at_least(args["min_runs"])(x, args),
 }
 
 
@@ -314,17 +351,22 @@ def _emit(path: str | None, lines: Iterable[str], end: str = "\n") -> None:
 
 
 def cmd_verify(args) -> int:
-    overrides: dict = {}
-    try:
-        keys = set().union(*verify.suite_parameters(args.suite))
-        if args.config:
-            table = {key: (_number, None, None) for key in keys}
-            _, sections = read_config(args.config, {"verify": table})
-            overrides = {k: v for k, v in sections["verify"].items() if v is not None}
-        verify.check_overrides(args.suite, overrides)
-    except (KeyError, ValueError) as e:
-        raise ConfigError(e.args[0]) from e
-    reports = verify.run_suite(args.suite, overrides)
+    parts = verify.SUITES.get(args.suite)  # looked up now: tracers replace the entries
+    if parts is None:
+        raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}")
+    params = [inspect.signature(fn).parameters for fn in parts]
+    table = {key: (_number if isinstance(p.default, float) else int, None, None)
+             for ps in params for key, p in ps.items()}  # an int or None default: int
+    given = read_config(args.config, {"verify": table})[1]["verify"] if args.config else {}
+    calls = [{key: p.default if given.get(key) is None else given[key] for key, p in ps.items()}
+             for ps in params]
+    for kwargs in calls:
+        for key, value in kwargs.items():
+            domain = VERIFY_DOMAINS.get(key)
+            need = domain and value is not None and domain(value, kwargs)
+            if need:
+                raise ConfigError(f"[verify] {key} must be {need}, got {value!r}")
+    reports = [fn(**kwargs) for fn, kwargs in zip(parts, calls)]
     failed = False
     lines = []
     for report in reports:
@@ -386,7 +428,7 @@ def cmd_decay_scan(args) -> int:
     lines = config_echo_lines(cfg)
     lines.append("v,l,influence,sphere_size,bound,status")
     for v in vertices:
-        rows = saw_brackets_at_radii(m, v, sec["radii"], sec["max_nodes"], g.clamp)
+        rows = saw_brackets_at_radii(m, v, sec["radii"], sec["max_nodes"])
         for l, row in zip(sec["radii"], rows):
             if row is None:
                 lines.append(f"{v},{l},nan,0,nan,budget")

@@ -68,16 +68,16 @@ def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
     chunks; the level that would overflow is never built.
     """
     roots = _check_roots(g, roots, depth_limit)
-    for levels, counts in _forests(g, roots, depth_limit, max_nodes, count_only=False):
+    for levels, counts in _forests(g, roots, depth_limit, max_nodes):
         yield from _level_trees(levels, counts, g)
 
 
-def saw_brackets_at_radii(m: IsingModel, v: int, radii, max_nodes: int,
-                          pins: np.ndarray) -> list[tuple[tuple[float, float], int] | None]:
+def saw_brackets_at_radii(m: IsingModel, v: int, radii,
+                          max_nodes: int) -> list[tuple[tuple[float, float], int] | None]:
     """v's walk-tree bracket and sphere size at each radius, from one growth.
 
-    Entry i is ``(boundary_bracket(tree_model(st, pins), l), sphere)`` for
-    st = ``build_saw_tree(m.graph, v, l, max_nodes)`` at l = radii[i], where
+    Entry i is ``(boundary_bracket(tree_model(st, m.graph.clamp), l), sphere)``
+    for st = ``build_saw_tree(m.graph, v, l, max_nodes)`` at l = radii[i], where
     sphere counts st's nodes with depth l and clamp 0, or None where the
     build raises BudgetError; radius l folds the grown levels 0..l.  Raises
     ConditioningError when v is pinned and some radius fits.
@@ -85,12 +85,12 @@ def saw_brackets_at_radii(m: IsingModel, v: int, radii, max_nodes: int,
     g = m.graph
     radii = [int(l) for l in radii]
     roots = _check_roots(g, [v], min(radii, default=0))
-    levels, _, reached = _grow_forest(g, roots, max(radii, default=0), max_nodes, False)
-    if pins[v] != 0 and any(l <= reached for l in radii):
+    levels, _, reached = _grow_forest(g, roots, max(radii, default=0), max_nodes)
+    if g.clamp[v] != 0 and any(l <= reached for l in radii):
         raise ConditioningError(f"query vertex {v} is pinned")
     top = max((l for l in radii if l <= reached), default=-1)  # the deepest level folded
     cols = [(par, g.weights[edge] if k else np.zeros(edge.size), g.h[vert],
-             np.where(pins[vert], pins[vert], pin))
+             np.where(g.clamp[vert], g.clamp[vert], pin))
             for k, (par, vert, _, edge, pin) in enumerate(levels[:top + 1])]
     return [None if l > reached else
             (tuple(map(plus_prob, kernels.tree_bracket_levels(cols[:l + 1], l))),
@@ -102,7 +102,7 @@ def saw_tree_sizes(g: WeightedGraph, roots, depth_limit: int,
                    max_nodes: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
     """Node count of each root's walk tree (int64), assembling no tree."""
     roots = _check_roots(g, roots, depth_limit)
-    counts = [c for _, c in _forests(g, roots, depth_limit, max_nodes, count_only=True)]
+    counts = [c for _, c in _forests(g, roots, depth_limit, max_nodes)]
     return np.concatenate([np.zeros(0, dtype=np.int64), *counts])
 
 
@@ -132,8 +132,7 @@ def _check_roots(g: WeightedGraph, roots, depth_limit: int) -> np.ndarray:
     return roots
 
 
-def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int,
-             count_only: bool):
+def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int):
     """(levels, counts) of successive root chunks, covering ``roots`` in order.
 
     The first chunk starts with up to CHUNK_NODES roots, each later one with
@@ -143,7 +142,7 @@ def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: i
     take = CHUNK_NODES
     while done < roots.size:
         levels, counts, reached = _grow_forest(g, roots[done:done + take], depth_limit,
-                                               max_nodes, count_only)
+                                               max_nodes)
         if reached < depth_limit:
             raise BudgetError(f"walk tree exceeded {max_nodes} nodes")
         done += counts.size
@@ -151,8 +150,7 @@ def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: i
         yield levels, counts
 
 
-def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int,
-                 count_only: bool):
+def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int):
     """Grow the walk trees of ``roots``, or of the prefix that fits CHUNK_NODES.
 
     Returns ``(levels, counts, reached)``.  ``levels[k]`` is a tuple (parent, vertex,
@@ -163,8 +161,7 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
     with each parent's children in ascending neighbor order, so it is also
     grouped by root in root order.  ``counts[r]`` is root r's node count.
     Roots are dropped from the end while the forest would pass CHUNK_NODES
-    nodes and more than one root is left.  With ``count_only`` the deepest
-    level is counted, not built.
+    nodes and more than one root is left.
     Growth stops at ``reached`` = k when some tree would pass ``max_nodes``
     nodes at depth k + 1; otherwise ``reached`` is ``depth_limit``.
     """
@@ -173,7 +170,7 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
     counts = np.ones(nroots, dtype=np.int64)
     levels = [(np.full(nroots, -1, dtype=np.int64), roots, np.arange(nroots),
                np.full(nroots, -1, dtype=np.int64), np.zeros(nroots, dtype=np.int8))]
-    mask = _BIT[roots & 63] if depth_limit - count_only > 2 else None  # if a level is chased
+    mask = _BIT[roots & 63]
     for k in range(depth_limit):
         _, vertex, root, edge, pin = levels[k]
         node = np.flatnonzero(pin == 0)  # walks that continue
@@ -196,8 +193,6 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
                 keep = root[node] < nroots
                 node, start, deg = node[keep], start[keep], deg[keep]
         counts = grown
-        if count_only and k + 1 == depth_limit:
-            break
         parent = np.repeat(node, deg)
         ends = np.cumsum(deg)
         child = np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + deg, deg)
@@ -207,9 +202,8 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
         if vert.size == 0:
             break
         new_pin = np.zeros(vert.size, dtype=np.int8)
-        if mask is not None:
-            bit, held = _BIT[vert & 63], mask[parent]
-            mask = held | bit
+        bit, held = _BIT[vert & 63], mask[parent]
+        mask = held | bit
         if k > 1:
             # A child closes a cycle when its vertex is on the walk already,
             # at some depth j <= k - 2, so only when its bit is in the

@@ -11,6 +11,9 @@ can never drift apart.  One gate reads differently from the CLI: criterion
 tail bound that the G(n, d/n) law implies for each ball, not against the
 rows' own ``ok`` flag (see ``tests/test_acceptance.py``).
 
+Every suite parameter is a scalar that ``cli`` reads from ``[verify]`` and
+checks; the grids a suite runs over are module constants.
+
 All randomness is drawn from named substreams of one master seed, making
 every suite reproducible run to run.
 """
@@ -18,7 +21,6 @@ every suite reproducible run to run.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -59,10 +61,13 @@ from .model import (
 from .sampler import algorithm1_output_law, truncation_tv_bound
 from .sawtree import build_saw_trees, saw_marginal_from_tree, saw_tree_sizes
 from .treecalc import boundary_influence, make_tree_model
-from .rng import POISSON_MEAN_CAP, substream
+from .rng import substream
 
 DEFAULT_MASTER_SEED = 20260822
 REPORT_FAILURE_ROWS = 20  # format_report lists at most this many failing rows
+RELAXATION_BETAS = (0.2, 0.5, 1.0)  # couplings of tree_relaxation_suite
+TREND_SIZES = (250, 500, 1000, 2000)  # graph sizes of coupling_trend_suite
+STAR_LEAVES = (4, 6, 8, 10)  # hub degrees of star_coupling_suite
 
 
 @dataclass(frozen=True)
@@ -306,13 +311,12 @@ def min_root_path_density(g: WeightedGraph) -> int:
 
 
 @_timed
-def tree_relaxation_suite(betas: tuple[float, ...] = (0.2, 0.5, 1.0), draws: int = 2,
-                          max_n: int = 8, tol: float = 1e-9,
+def tree_relaxation_suite(draws: int = 2, max_n: int = 8, tol: float = 1e-9,
                           master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
     """Continuous-time relaxation on every small tree is at most exp(4 beta m).
 
     Exhausts all free tree shapes up to max_n vertices; each shape is
-    dressed with random fields and pins at every coupling strength.  m is
+    dressed with random fields and pins at each of RELAXATION_BETAS.  m is
     the degree-sum path density minimized over roots, a structural
     quantity of the bare shape.
     """
@@ -324,7 +328,7 @@ def tree_relaxation_suite(betas: tuple[float, ...] = (0.2, 0.5, 1.0), draws: int
         n = tree.size
         bare = tree_as_graph(tree)
         density = min_root_path_density(bare)
-        for beta in betas:
+        for beta in RELAXATION_BETAS:
             for draw in range(draws):
                 h = rng.uniform(-1.0, 1.0, size=n)
                 while True:
@@ -585,19 +589,18 @@ def coupling_soundness_suite(min_runs: int = 100, min_steps: int = 10**6,
 
 
 @_timed
-def coupling_trend_suite(sizes: tuple[int, ...] = (250, 500, 1000, 2000),
-                         seeds: int = 20, d: float = 2.0, beta: float = 0.05,
+def coupling_trend_suite(seeds: int = 20, d: float = 2.0, beta: float = 0.05,
                          cap: int = 10**7, slope_bound: float = 2.0,
                          master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
     """Low-coupling sparse graphs: everyone meets, near-linear growth in n.
 
-    Fresh graph and update stream per (n, seed) cell; the gate is that
-    every run meets under the cap and that the log-log slope of the median
-    meeting time stays at most slope_bound.
+    Fresh graph and update stream per (n, seed) cell, n in TREND_SIZES;
+    the gate is that every run meets under the cap and that the log-log
+    slope of the median meeting time stays at most slope_bound.
     """
     report = SuiteReport("coupling-trend")
     medians = {}
-    for n in sizes:
+    for n in TREND_SIZES:
         times = []
         met = 0
         for s in range(seeds):
@@ -619,13 +622,13 @@ def coupling_trend_suite(sizes: tuple[int, ...] = (250, 500, 1000, 2000),
 
 
 @_timed
-def star_coupling_suite(sizes: tuple[int, ...] = (4, 6, 8, 10), seeds: int = 33,
-                        beta: float = 1.0, cap: int = 10**7, growth: float = 1.5,
+def star_coupling_suite(seeds: int = 33, beta: float = 1.0, cap: int = 10**7,
+                        growth: float = 1.5,
                         master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
     """Hub graphs at strong coupling: median meeting time grows fast in degree."""
     report = SuiteReport("star-coupling")
     medians = {}
-    for s in sizes:
+    for s in STAR_LEAVES:
         times = []
         for k in range(seeds):
             res = star_coupling_run(s, beta, k, cap, master_seed)
@@ -720,97 +723,6 @@ SUITES: dict[str, list] = {
     "sampler-tv": [sampler_tv_suite],
     "structure": [structure_suite],
 }
-
-
-def at_least(lo: int | float):
-    return lambda x, args: None if x >= lo else f">= {lo}"
-
-
-def poisson_mean(x: float, args: dict) -> str | None:  # where Poisson inversion is exact
-    return None if 0 < x <= POISSON_MEAN_CAP else f"in (0, {POISSON_MEAN_CAP:g}]"
-
-
-def degree_within(key: str):
-    """Domain of an Erdos-Renyi mean degree: in [0, n] for each n in args[key]."""
-    def need(x: float, args: dict) -> str | None:
-        hi = min(args[key]) if isinstance(args[key], (list, tuple)) else args[key]
-        return None if 0 <= x <= hi else f"in [0, {hi}]"
-    return need
-
-
-def _mean_degree(x: float, args: dict) -> str | None:
-    if "sizes" in args:  # Erdos-Renyi graphs on each of the sizes
-        return degree_within("sizes")(x, args)
-    # Erdos-Renyi graphs on n vertices and Poisson(d) branching trees
-    return poisson_mean(x, args) or degree_within("n")(x, args)
-
-
-# Domain of each suite parameter, by name: a function of the value and the
-# call's other arguments that returns what the value must be, or None when
-# it is valid.  A name means the same kind of quantity in every suite that
-# takes it.  Instance counts start at 1, because a run with no instance
-# reads as a failed check; means follow the generators' own domains.
-_DOMAINS = {
-    **{key: at_least(1) for key in (
-        "models", "trees", "draws", "seeds", "graphs", "max_len", "cap", "n",
-        "min_runs", "max_runs", "sphere_trees")},
-    **{key: at_least(2) for key in ("max_n", "max_depth")},
-    **{key: at_least(0) for key in (
-        "removals", "random_models", "trunc_depth", "min_steps", "excess_bound",
-        "radius", "tol", "exact_tol", "beta")},
-    "offspring": poisson_mean,
-    "d": _mean_degree,
-    "sample_vertices": lambda x, args: None if 1 <= x <= args["n"] else "in [1, n]",
-}
-
-
-def suite_parameters(name: str) -> list:
-    """Parameters of each part of a named suite; KeyError for an unknown name."""
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return [inspect.signature(fn).parameters for fn in SUITES[name]]
-
-
-def check_overrides(name: str, overrides: dict) -> None:
-    """Reject what :func:`run_suite` would fail on, before any part runs.
-
-    Raises KeyError for an unknown suite or key, and ValueError for a value
-    of the wrong type (an int where the default is an int, a finite number
-    where it is a float, a list where it is a tuple) or outside its domain.
-    """
-    params = suite_parameters(name)
-    accepted = sorted(set().union(*params))
-    unknown = sorted(set(overrides) - set(accepted))
-    if unknown:
-        raise KeyError(f"suite {name!r} accepts no key {', '.join(unknown)}; "
-                       f"it accepts {', '.join(accepted)}")
-    for fn_params in params:
-        args = {key: p.default for key, p in fn_params.items()}
-        args.update((key, v) for key, v in overrides.items() if key in args)
-        for key, value in args.items():
-            default = fn_params[key].default
-            if key in overrides:
-                if isinstance(default, tuple):
-                    kind, ok = "a list", isinstance(value, (tuple, list))
-                elif default is None or isinstance(default, int):
-                    kind, ok = "an integer", isinstance(value, int)
-                else:
-                    kind = "a finite number"
-                    ok = isinstance(value, (int, float)) and math.isfinite(value)
-                if not ok:
-                    raise ValueError(f"suite {name!r}: {key} must be {kind}, got {value!r}")
-            need = _DOMAINS[key](value, args) if key in _DOMAINS and value is not None else None
-            if need:
-                raise ValueError(f"suite {name!r}: {key} must be {need}, got {value!r}")
-
-
-def run_suite(name: str, overrides: dict | None = None) -> list[SuiteReport]:
-    """Run one named suite, with optional keyword overrides for its parts."""
-    overrides = overrides or {}
-    check_overrides(name, overrides)
-    params = suite_parameters(name)
-    return [fn(**{k: v for k, v in overrides.items() if k in p})
-            for fn, p in zip(SUITES[name], params)]
 
 
 def format_report(report: SuiteReport) -> str:

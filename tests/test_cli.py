@@ -4,18 +4,21 @@ Commands run in-process through ``main(argv)``; outputs are compared as
 raw bytes to pin the reproducibility contract: same config, same rows.
 """
 
+import functools
 import hashlib
+import inspect
 import json
 import math
 import os
 
-from isinglab import cli
+from isinglab import cli, verify
 from isinglab.cli import config_echo_lines, load_config, main, worker_count
 from isinglab.errors import BudgetError
 from isinglab.graph import generate_erdos_renyi, read_graph, write_graph
 from isinglab.model import make_model
 from isinglab.rng import substream
 from isinglab.sawtree import build_saw_tree, tree_model
+from isinglab.verify import CheckRow, SuiteReport
 from test_sawtree import boundary
 from test_treecalc import two_fold_bracket
 
@@ -346,6 +349,31 @@ def test_verify_command(tmp_path):
     assert "PASS" in text
 
 
+def test_every_suite_parameter_can_be_set(tmp_path, monkeypatch):
+    # each part becomes a stub with the part's signature that records its
+    # arguments; a [verify] section giving each of a part's defaults as text
+    # must reach that part unchanged, types included
+    for suite, parts in list(verify.SUITES.items()):
+        received = {}
+
+        def stub_of(fn):
+            @functools.wraps(fn)
+            def stub(**kwargs):
+                received[fn.__name__] = kwargs
+                return SuiteReport(fn.__name__, [CheckRow("stub", 0.0, 0.0, True)])
+            return stub
+
+        monkeypatch.setitem(verify.SUITES, suite, [stub_of(fn) for fn in parts])
+        for fn in parts:
+            defaults = {key: p.default for key, p in inspect.signature(fn).parameters.items()}
+            text = "".join(f"{key} = {value!r}\n" for key, value in defaults.items()
+                           if value is not None)
+            cfg = write(tmp_path, "defaults.ini", "[verify]\n" + text)
+            assert run(["verify", suite, "-c", cfg, "-o", "/dev/null"]) == 0, (suite, text)
+            got = received[fn.__name__]
+            assert got == defaults and all(type(got[k]) is type(v) for k, v in defaults.items())
+
+
 def test_exit_codes(tmp_path, capsys):
     assert run(["verify", "no-such-suite"]) == 2
     bad = write(tmp_path, "bad.ini", "[scan]\nkind = er\n")
@@ -358,18 +386,24 @@ def test_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "modles" in err and "max_len" in err
     # override values are checked before any part of the suite runs: none
-    # may end in a traceback or read as an empty, failed run
-    for suite, override in [
-        ("weitz-identity", "max_n = 0"),
-        ("coupling", "cap = 0"),
-        ("weitz-identity", "models = -3"),
-        ("tree-bounds", "trees = -1"),
-        ("coupling", "seeds = 0"),
+    # may end in a traceback or read as an empty, failed run.  Defaults are
+    # checked too, against the overrides: structure's sample_vertices = 25
+    # does not fit n = 10, and max_runs = 1 stops coupling-soundness short
+    # of its min_runs, which reads as a failed audited-step-volume row
+    for suite, override, culprit in [
+        ("weitz-identity", "max_n = 0", "max_n"),
+        ("coupling", "cap = 0", "cap"),
+        ("weitz-identity", "models = -3", "models"),
+        ("tree-bounds", "trees = -1", "trees"),
+        ("coupling", "seeds = 0", "seeds"),
+        ("coupling", "max_runs = 1", "max_runs"),
+        ("structure", "n = 10", "sample_vertices"),
     ]:
         cfg = write(tmp_path, "bad-verify.ini", f"[verify]\n{override}\n")
         assert run(["verify", suite, "-c", cfg, "-o", "/dev/null"]) == 2, override
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, override
+        assert culprit in err, (override, err)
     # bad model or scan values end with a message, not a traceback
     for old, new in [
         ("seed = 3", "seed = 3\nh = uniform a b"),

@@ -321,9 +321,9 @@ def test_brackets_at_radii_match_one_build_per_radius(case, data):
             want[l] = None
     if g.clamp[v] != 0 and any(tree is not None for tree in want.values()):
         with pytest.raises(ConditioningError):
-            saw_brackets_at_radii(m, v, radii, max_nodes, g.clamp)
+            saw_brackets_at_radii(m, v, radii, max_nodes)
         return
-    got = saw_brackets_at_radii(m, v, radii, max_nodes, g.clamp)
+    got = saw_brackets_at_radii(m, v, radii, max_nodes)
     assert len(got) == len(radii)
     for l, row in zip(radii, got):
         if want[l] is None:

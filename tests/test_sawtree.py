@@ -189,18 +189,18 @@ def test_node_budget_enforced():
         build_saw_tree(g, 0, 11, max_nodes=500)
     # one growth for several radii marks the radii past the budget instead
     m = make_model(g)
-    small, big = saw_brackets_at_radii(m, 0, [2, 11], 500, g.clamp)
+    small, big = saw_brackets_at_radii(m, 0, [2, 11], 500)
     assert small == (saw_marginal_bracket(m, 0, 2), boundary(build_saw_tree(g, 0, 2), 2).size)
     assert big is None
 
 
 def test_brackets_at_radii_check_their_arguments():
     m = make_model(path_graph(4, 0.3))
-    assert saw_brackets_at_radii(m, 1, [], 10, m.graph.clamp) == []
+    assert saw_brackets_at_radii(m, 1, [], 10) == []
     with pytest.raises(ValueError):
-        saw_brackets_at_radii(m, 1, [2, -1], 10, m.graph.clamp)
+        saw_brackets_at_radii(m, 1, [2, -1], 10)
     with pytest.raises(ValueError):
-        saw_brackets_at_radii(m, 4, [2], 10, m.graph.clamp)
+        saw_brackets_at_radii(m, 4, [2], 10)
 
 
 def test_clamped_vertex_copies_onto_every_occurrence():
