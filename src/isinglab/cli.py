@@ -229,10 +229,10 @@ GW_KEYS = {  # [gw]
 
 
 def _mean_degree(x: float, args: dict) -> str | None:
-    if "n" not in args:  # coupling-trend: Erdos-Renyi graphs on each of TREND_SIZES
-        return degree_within("n")(x, {"n": TREND_SIZES})
-    # structure: Erdos-Renyi graphs on n vertices and Poisson(d) branching trees
-    return poisson_mean(x, args) or degree_within("n")(x, args)
+    # Erdos-Renyi graphs on n vertices, or on each of TREND_SIZES for
+    # coupling-trend; structure also grows Poisson(d) branching trees
+    need = "n" in args and poisson_mean(x, args)
+    return need or degree_within("n")(x, {"n": TREND_SIZES, **args})
 
 
 # Domain of each [verify] key, a suite parameter of the same kind in every
@@ -360,17 +360,13 @@ def cmd_verify(args) -> int:
     given = read_config(args.config, {"verify": table})[1]["verify"] if args.config else {}
     calls = [{key: p.default if given.get(key) is None else given[key] for key, p in ps.items()}
              for ps in params]
-    for kwargs in calls:
+    for kwargs in calls:  # values already parsed, so each parses as itself
         for key, value in kwargs.items():
-            domain = VERIFY_DOMAINS.get(key)
-            need = domain and value is not None and domain(value, kwargs)
-            if need:
-                raise ConfigError(f"[verify] {key} must be {need}, got {value!r}")
+            if value is not None and key in VERIFY_DOMAINS:
+                _checked(f"[verify] {key}", value, type(value), VERIFY_DOMAINS[key], kwargs)
     reports = [fn(**kwargs) for fn, kwargs in zip(parts, calls)]
-    failed = False
     lines = []
     for report in reports:
-        failed |= not report.passed
         lines.append(verify.format_report(report))
         if args.verbose:
             for row in report.rows:
@@ -380,7 +376,7 @@ def cmd_verify(args) -> int:
                     f"{_fmt(row.bound)}" + (f"  ({row.note})" if row.note else "")
                 )
     _emit(args.output, lines)
-    return 1 if failed else 0
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _coupling_task(task):

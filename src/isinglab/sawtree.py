@@ -68,7 +68,7 @@ def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
     chunks; the level that would overflow is never built.
     """
     roots = _check_roots(g, roots, depth_limit)
-    for levels, counts in _forests(g, roots, depth_limit, max_nodes):
+    for levels, counts in _forests(g, roots, depth_limit, max_nodes, count_only=False):
         yield from _level_trees(levels, counts, g)
 
 
@@ -85,7 +85,7 @@ def saw_brackets_at_radii(m: IsingModel, v: int, radii,
     g = m.graph
     radii = [int(l) for l in radii]
     roots = _check_roots(g, [v], min(radii, default=0))
-    levels, _, reached = _grow_forest(g, roots, max(radii, default=0), max_nodes)
+    levels, _, reached = _grow_forest(g, roots, max(radii, default=0), max_nodes, False)
     if g.clamp[v] != 0 and any(l <= reached for l in radii):
         raise ConditioningError(f"query vertex {v} is pinned")
     top = max((l for l in radii if l <= reached), default=-1)  # the deepest level folded
@@ -102,7 +102,7 @@ def saw_tree_sizes(g: WeightedGraph, roots, depth_limit: int,
                    max_nodes: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
     """Node count of each root's walk tree (int64), assembling no tree."""
     roots = _check_roots(g, roots, depth_limit)
-    counts = [c for _, c in _forests(g, roots, depth_limit, max_nodes)]
+    counts = [c for _, c in _forests(g, roots, depth_limit, max_nodes, count_only=True)]
     return np.concatenate([np.zeros(0, dtype=np.int64), *counts])
 
 
@@ -132,7 +132,8 @@ def _check_roots(g: WeightedGraph, roots, depth_limit: int) -> np.ndarray:
     return roots
 
 
-def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int):
+def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int,
+             count_only: bool):
     """(levels, counts) of successive root chunks, covering ``roots`` in order.
 
     The first chunk starts with up to CHUNK_NODES roots, each later one with
@@ -142,7 +143,7 @@ def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: i
     take = CHUNK_NODES
     while done < roots.size:
         levels, counts, reached = _grow_forest(g, roots[done:done + take], depth_limit,
-                                               max_nodes)
+                                               max_nodes, count_only)
         if reached < depth_limit:
             raise BudgetError(f"walk tree exceeded {max_nodes} nodes")
         done += counts.size
@@ -150,7 +151,8 @@ def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: i
         yield levels, counts
 
 
-def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int):
+def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int,
+                 count_only: bool):
     """Grow the walk trees of ``roots``, or of the prefix that fits CHUNK_NODES.
 
     Returns ``(levels, counts, reached)``.  ``levels[k]`` is a tuple (parent, vertex,
@@ -161,7 +163,8 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
     with each parent's children in ascending neighbor order, so it is also
     grouped by root in root order.  ``counts[r]`` is root r's node count.
     Roots are dropped from the end while the forest would pass CHUNK_NODES
-    nodes and more than one root is left.
+    nodes and more than one root is left.  With ``count_only`` the deepest
+    level is counted, not built.
     Growth stops at ``reached`` = k when some tree would pass ``max_nodes``
     nodes at depth k + 1; otherwise ``reached`` is ``depth_limit``.
     """
@@ -170,7 +173,7 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
     counts = np.ones(nroots, dtype=np.int64)
     levels = [(np.full(nroots, -1, dtype=np.int64), roots, np.arange(nroots),
                np.full(nroots, -1, dtype=np.int64), np.zeros(nroots, dtype=np.int8))]
-    mask = _BIT[roots & 63]
+    mask = _BIT[roots & 63] if depth_limit - count_only > 2 else None  # if a level is chased
     for k in range(depth_limit):
         _, vertex, root, edge, pin = levels[k]
         node = np.flatnonzero(pin == 0)  # walks that continue
@@ -193,6 +196,8 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
                 keep = root[node] < nroots
                 node, start, deg = node[keep], start[keep], deg[keep]
         counts = grown
+        if count_only and k + 1 == depth_limit:
+            break
         parent = np.repeat(node, deg)
         ends = np.cumsum(deg)
         child = np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + deg, deg)
@@ -202,8 +207,9 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
         if vert.size == 0:
             break
         new_pin = np.zeros(vert.size, dtype=np.int8)
-        bit, held = _BIT[vert & 63], mask[parent]
-        mask = held | bit
+        if mask is not None:
+            bit, held = _BIT[vert & 63], mask[parent]
+            mask = held | bit
         if k > 1:
             # A child closes a cycle when its vertex is on the walk already,
             # at some depth j <= k - 2, so only when its bit is in the
