@@ -1,10 +1,11 @@
 """Command-line harness: verification suites, sweeps and samplers.
 
 Commands take an INI-style config file (sections of key = value pairs)
-plus flags only for the output path and verbosity; every output file
-echoes the config it was produced from as '#' comments, so re-running
-with that config reproduces the data rows byte for byte.  Numbers are
-written with nine significant digits.
+plus flags only for the output path and verbosity.  Every output but a
+verify report carries the config it was produced from ('#' comments, the
+graph file's header or sample's "config" key), so re-running with that
+config reproduces the data byte for byte.  Numbers are written with nine
+significant digits.
 
 Each command declares, once per section, every key it reads with its
 parser, default and domain (the *_KEYS tables).  A section or key the
@@ -235,6 +236,11 @@ def _mean_degree(x: float, args: dict) -> str | None:
     return need or degree_within("n")(x, {"n": TREND_SIZES, **args})
 
 
+def _auditable(x: int, args: dict) -> str | None:
+    most = verify.soundness_audit_bound(args["max_runs"])
+    return None if 0 <= x <= most else f"in [0, {most}], the most max_runs = {args['max_runs']} runs audit"
+
+
 # Domain of each [verify] key, a suite parameter of the same kind in every
 # suite that takes it.  Instance counts start at 1, as a run with no
 # instance reads as a failed check, and max_runs at the min_runs it would
@@ -245,11 +251,12 @@ VERIFY_DOMAINS = {
         "min_runs", "sphere_trees")},
     **{key: at_least(2) for key in ("max_n", "max_depth")},
     **{key: at_least(0) for key in (
-        "removals", "random_models", "trunc_depth", "min_steps", "excess_bound",
+        "removals", "random_models", "trunc_depth", "excess_bound",
         "radius", "tol", "exact_tol", "beta")},
     "offspring": poisson_mean,
     "d": _mean_degree,
     "sample_vertices": lambda x, args: None if 1 <= x <= args["n"] else "in [1, n]",
+    "min_steps": _auditable,
     "max_runs": lambda x, args: at_least(args["min_runs"])(x, args),
 }
 
@@ -541,7 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # The parser is a web of reference cycles.  Dropped here, it would be
+    # freed by whichever collection the command's allocations set off, and
+    # where its blocks came free moved decay-scan's peak RSS by up to 0.6 MB
+    # with the length of the output path; held, it lives until main returns.
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except IsinglabError as e:  # ConfigError included

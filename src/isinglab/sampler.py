@@ -16,7 +16,9 @@ like a constant times log n, and :func:`radius_for` rounds it up.
 A walk tree depends only on the graph, its root and L, so each free
 vertex's tree is built once, all of them in one forest build over the
 free vertices, and re-folded under every draw's or prefix's conditioning,
-carried as a pins vector updated in place.
+carried as a pins vector updated in place.  Every prefix of the output
+law pins the clamps and v_1..v_{i-1} when v_i is drawn, and a pin screens
+its subtree, so the output law folds only the unscreened part of tree i.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .dynamics import UpdateStream
 from .errors import SizeError
 from .model import ExactDistribution, IsingModel
-from .sawtree import DEFAULT_NODE_BUDGET, build_saw_trees, tree_model
+from .sawtree import DEFAULT_NODE_BUDGET, build_saw_trees, tree_model, unscreened
 from .treecalc import root_marginal
 
 OUTPUT_LAW_VERTEX_CAP = 14
@@ -86,35 +88,31 @@ def algorithm1_sample(m: IsingModel, depth_limit: int, stream: UpdateStream,
 def algorithm1_output_law(m: IsingModel, depth_limit: int) -> ExactDistribution:
     """Exact distribution of the sampler's output, by prefix enumeration.
 
-    Walks the binary tree of assignments, multiplying each step's marginal.
-    The k free vertices' trees are built once and re-pinned at each prefix,
-    so each of the 2^k - 1 internal prefixes costs one fold.
+    Extends every prefix, a bitmask of + spins keyed to its weight, by one
+    free vertex per step, multiplying in that step's marginal.  Each tree
+    is built and cut once, and a step's marginal depends only on the drawn
+    spins its cut sees, so each step folds once per distinct pattern of
+    them; the other prefixes reuse that fold.
     """
     free = m.graph.free_vertices()
-    k = free.size
     if m.n > OUTPUT_LAW_VERTEX_CAP:
         raise SizeError(f"output-law enumeration capped at {OUTPUT_LAW_VERTEX_CAP} vertices")
-    trees = list(build_saw_trees(m.graph, free, depth_limit))
-    probs = np.zeros(1 << m.n)
-    base = 0
-    for v in range(m.n):
-        if m.graph.clamp[v] > 0:
-            base |= 1 << v
     pins = m.graph.clamp.copy()
-
-    def descend(i: int, mask: int, weight: float) -> None:
-        if i == k:
-            probs[mask] += weight
-            return
-        v = int(free[i])
-        p = root_marginal(tree_model(trees[i], pins))
-        pins[v] = 1
-        descend(i + 1, mask | (1 << v), weight * p)
-        pins[v] = -1
-        descend(i + 1, mask, weight * (1.0 - p))
-        pins[v] = 0
-
-    descend(0, base, 1.0)
+    level = {sum(1 << int(v) for v in np.flatnonzero(pins > 0)): 1.0}
+    for i, st in enumerate(build_saw_trees(m.graph, free, depth_limit)):
+        drawn, v = free[:i], 1 << int(free[i])
+        cut = unscreened(st, (m.graph.clamp != 0) | (np.bincount(drawn, minlength=m.n) > 0))
+        sees = int(np.bitwise_or.reduce(1 << cut.tree.label))  # the spins the cut sees
+        folds, grown = {}, {}
+        for mask, weight in level.items():
+            p = folds.get(mask & sees)
+            if p is None:
+                pins[drawn] = np.where((mask >> drawn) & 1, 1, -1)
+                p = folds[mask & sees] = root_marginal(tree_model(cut, pins))
+            grown[mask | v], grown[mask] = weight * p, weight * (1.0 - p)
+        level = grown
+    probs = np.zeros(1 << m.n)
+    probs[list(level)] = list(level.values())
     return ExactDistribution(m.n, probs, None)
 
 

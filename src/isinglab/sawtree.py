@@ -275,6 +275,23 @@ def tree_model(st: TreeModel, pins: np.ndarray) -> TreeModel:
     return TreeModel(st.tree, st.edge_beta, st.h, np.where(node_pins, node_pins, st.clamp))
 
 
+def unscreened(st: TreeModel, pinned: np.ndarray) -> TreeModel:
+    """st cut to the nodes with no pinned proper ancestor, still in level order.
+
+    ``pinned`` is a bool per vertex (closures count as pinned); under pins
+    that pin every vertex in it, the cut folds to the whole tree's bits.
+    """
+    parent, depth = st.tree.parent, st.tree.depth
+    opens = ~pinned[st.tree.label] & (st.clamp == 0)  # free nodes; then kept free nodes
+    first = np.searchsorted(depth, np.arange(1, st.tree.height + 2)).tolist()
+    for a, b in zip(first, first[1:]):  # depth by depth
+        opens[a:b] &= opens[parent[a:b]]
+    kept = np.flatnonzero(np.concatenate([[True], opens[parent[1:]]]))
+    parent = np.concatenate([[-1], np.searchsorted(kept, parent[kept[1:]])])  # parents are kept
+    tree = make_rooted_tree(parent, depth[kept], st.tree.label[kept])
+    return TreeModel(tree, st.edge_beta[kept], st.h[kept], st.clamp[kept])
+
+
 def saw_marginal_from_tree(st: TreeModel, m: IsingModel,
                            cond: dict[int, int] | None = None) -> float:
     """Root marginal of an already-built walk tree under a conditioning."""

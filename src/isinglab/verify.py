@@ -68,6 +68,7 @@ REPORT_FAILURE_ROWS = 20  # format_report lists at most this many failing rows
 RELAXATION_BETAS = (0.2, 0.5, 1.0)  # couplings of tree_relaxation_suite
 TREND_SIZES = (250, 500, 1000, 2000)  # graph sizes of coupling_trend_suite
 STAR_LEAVES = (4, 6, 8, 10)  # hub degrees of star_coupling_suite
+SOUNDNESS_CAPS = (50_000, 50_000, 400_000, 100_000)  # step cap of coupling-soundness run i % 4
 
 
 @dataclass(frozen=True)
@@ -531,6 +532,12 @@ def star_coupling_run(leaves: int, beta: float, seed_index: int, cap: int,
     return monotone_coupled_run(m, cap, stream)
 
 
+def soundness_audit_bound(max_runs: int) -> int:
+    """Most updates max_runs coupling-soundness runs audit: each its cap + the post-audit."""
+    laps, rest = divmod(max_runs, len(SOUNDNESS_CAPS))
+    return laps * sum(SOUNDNESS_CAPS) + sum(SOUNDNESS_CAPS[:rest]) + max_runs * POST_COUPLING_AUDIT
+
+
 @_timed
 def coupling_soundness_suite(min_runs: int = 100, min_steps: int = 10**6,
                              max_runs: int = 2000,
@@ -545,31 +552,31 @@ def coupling_soundness_suite(min_runs: int = 100, min_steps: int = 10**6,
     """
     report = SuiteReport("coupling-soundness")
 
-    def family(i: int) -> tuple[str, IsingModel, int]:
-        kind = i % 4
+    def family(i: int) -> tuple[str, IsingModel]:
+        kind = i % len(SOUNDNESS_CAPS)
         if kind == 0:
             g = generate_erdos_renyi(60, 2.5, master_seed + i, beta=0.3)
-            return "er60", make_model(g), 50_000
+            return "er60", make_model(g)
         if kind == 1:
             g = generate_erdos_renyi(80, 2.0, master_seed + i, beta=0.2)
             rng = substream(master_seed, "verify-coupling-clamps", i)
             clamp = np.where(rng.random(80) < 0.12,
                              np.where(rng.random(80) < 0.5, 1, -1), 0).astype(np.int8)
             clamp[0] = 0
-            return "er80-clamped", make_model(g.with_vertex_data(clamp=clamp)), 50_000
+            return "er80-clamped", make_model(g.with_vertex_data(clamp=clamp))
         if kind == 2:
-            return "hub12", make_model(star_graph(12, 1.2)), 400_000
+            return "hub12", make_model(star_graph(12, 1.2))
         rng = substream(master_seed, "verify-coupling-path", i)
         g = path_graph(40, 0.8).with_vertex_data(h=rng.uniform(-0.2, 0.2, size=40))
-        return "path40", make_model(g), 100_000
+        return "path40", make_model(g)
 
     audited = 0
     runs = 0
     while (runs < min_runs or audited < min_steps) and runs < max_runs:
-        name, m, cap = family(runs)
+        name, m = family(runs)
         stream = UpdateStream(m, master_seed, chain_id=runs)
         try:
-            res = monotone_coupled_run(m, cap, stream)
+            res = monotone_coupled_run(m, SOUNDNESS_CAPS[runs % len(SOUNDNESS_CAPS)], stream)
             ok = True
             note = f"coupled={res.coupled},steps={res.steps}"
             audited += res.steps + (POST_COUPLING_AUDIT if res.coupled else 0)

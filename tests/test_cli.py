@@ -388,8 +388,10 @@ def test_exit_codes(tmp_path, capsys):
     # override values are checked before any part of the suite runs: none
     # may end in a traceback or read as an empty, failed run.  Defaults are
     # checked too, against the overrides: structure's sample_vertices = 25
-    # does not fit n = 10, and max_runs = 1 stops coupling-soundness short
-    # of its min_runs, which reads as a failed audited-step-volume row
+    # does not fit n = 10, max_runs = 50 stops coupling-soundness short of
+    # its min_runs, max_runs = 1 also of the default min_steps, and 200 runs
+    # cannot audit 10^8 updates; each would read as a failed
+    # audited-step-volume row
     for suite, override, culprit in [
         ("weitz-identity", "max_n = 0", "max_n"),
         ("coupling", "cap = 0", "cap"),
@@ -397,6 +399,8 @@ def test_exit_codes(tmp_path, capsys):
         ("tree-bounds", "trees = -1", "trees"),
         ("coupling", "seeds = 0", "seeds"),
         ("coupling", "max_runs = 1", "max_runs"),
+        ("coupling", "min_steps = 0\nmax_runs = 50", "max_runs must be >= 100"),
+        ("coupling", "min_steps = 100000000\nmax_runs = 200", "min_steps"),
         ("structure", "n = 10", "sample_vertices"),
     ]:
         cfg = write(tmp_path, "bad-verify.ini", f"[verify]\n{override}\n")

@@ -52,8 +52,9 @@ from isinglab.sawtree import (  # noqa: E402
     saw_tree_size,
     saw_tree_sizes,
     tree_model,
+    unscreened,
 )
-from isinglab.treecalc import TreeModel, boundary_bracket  # noqa: E402
+from isinglab.treecalc import TreeModel, boundary_bracket, root_field  # noqa: E402
 from test_dynamics import chain_steps_counted  # noqa: E402
 from test_sawtree import boundary, saw_marginal  # noqa: E402
 from test_treecalc import two_fold_bracket, with_pins  # noqa: E402
@@ -442,6 +443,34 @@ def test_reused_trees_match_rebuilt_trees(m, data):
         assert run.spins.tolist() == spins.tolist()
     law = algorithm1_output_law(m, depth)
     assert law.probs.tobytes() == _reference_law(m, depth).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(clamped_models(), st.data())
+def test_unscreened_cut_folds_to_whole_tree_bits(m, data):
+    free = m.graph.free_vertices().tolist()
+    v = data.draw(st.sampled_from(free))
+    depth = data.draw(st.integers(0, m.n + 1))
+    others = [u for u in free if u != v]
+    cond = data.draw(st.dictionaries(st.sampled_from(others), spin)) if others else {}
+    pins = merge_conditioning(m, cond)  # pins every vertex in pinned, and perhaps more
+    chosen = data.draw(st.lists(st.booleans(), min_size=m.n, max_size=m.n))
+    pinned = np.array(chosen, dtype=bool) & (pins != 0)
+    whole = build_saw_tree(m.graph, v, depth)
+    cut = unscreened(whole, pinned)
+    assert root_field(tree_model(cut, pins)).hex() == root_field(tree_model(whole, pins)).hex()
+    # the cut is the whole tree's nodes below no pinned node, in the same order
+    par, label = whole.tree.parent, whole.tree.label
+    opens = [not pinned[label[i]] and whole.clamp[i] == 0 for i in range(whole.size)]
+    keep = [True]
+    for i in range(1, whole.size):
+        keep.append(keep[par[i]] and opens[par[i]])
+    kept = np.flatnonzero(keep)
+    assert cut.tree.label[0] == v
+    for a, b in zip(_tree_model_arrays(cut)[1:], _tree_model_arrays(whole)[1:]):
+        assert a.tobytes() == b[kept].tobytes()
+    assert (kept[cut.tree.parent[1:]] == par[kept[1:]]).all()
+    assert not any(pinned[label[p]] or whole.clamp[p] for p in par[kept[1:]])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from isinglab.dynamics import UpdateStream
 from isinglab.errors import SizeError
 from isinglab.graph import cycle_graph, path_graph
-from isinglab.model import exact_distribution, make_model, tv_distance
+from isinglab.model import ExactDistribution, exact_distribution, make_model, tv_distance
 from isinglab.sampler import (
     algorithm1_output_law,
     algorithm1_sample,
@@ -16,7 +16,9 @@ from isinglab.sampler import (
     radius_for,
     truncation_tv_bound,
 )
-from isinglab.verify import random_connected_model
+from isinglab.sawtree import build_saw_trees, tree_model
+from isinglab.treecalc import root_marginal
+from isinglab.verify import DEFAULT_MASTER_SEED, random_connected_model
 from isinglab.rng import substream
 
 
@@ -129,3 +131,50 @@ def test_output_law_bytes_pinned():
                 h.update(algorithm1_output_law(mm, L).probs.tobytes())
     assert h.hexdigest() == "6075936bd377fc8c58acc9a08a4f1870520c421a7b377621587591666b239b26"
 
+
+def whole_tree_output_law(m, depth_limit):
+    """Output law by prefix enumeration, one whole-tree fold per prefix."""
+    free = m.graph.free_vertices()
+    trees = list(build_saw_trees(m.graph, free, depth_limit))
+    probs = np.zeros(1 << m.n)
+    pins = m.graph.clamp.copy()
+
+    def descend(i, mask, weight):
+        if i == free.size:
+            probs[mask] += weight
+            return
+        v = int(free[i])
+        p = root_marginal(tree_model(trees[i], pins))
+        pins[v] = 1
+        descend(i + 1, mask | (1 << v), weight * p)
+        pins[v] = -1
+        descend(i + 1, mask, weight * (1.0 - p))
+        pins[v] = 0
+
+    descend(0, sum(1 << v for v in range(m.n) if m.graph.clamp[v] > 0), 1.0)
+    return ExactDistribution(m.n, probs, None)
+
+
+def sampler_tv_models():
+    """The sampler-tv suite's instances: cycles of 4..10 and 50 random models."""
+    rng = substream(DEFAULT_MASTER_SEED, "verify-sampler")
+    models = [make_model(cycle_graph(n, 0.45).with_vertex_data(h=rng.uniform(-0.3, 0.3, size=n)))
+              for n in range(4, 11)]
+    for _ in range(50):
+        models.append(random_connected_model(
+            rng, max_n=10, beta_lo=0.1, beta_hi=0.5, h_lo=-0.5, h_hi=0.5,
+            extra_edges=int(rng.integers(0, 4))))
+    return models
+
+
+def test_output_law_matches_whole_tree_prefix_folds():
+    # cut trees, folds shared between prefixes and the step-by-step
+    # enumeration give the bits of one whole-tree fold per prefix
+    clamped = cycle_graph(9, 0.6).with_vertex_data(
+        h=np.linspace(-0.4, 0.4, 9), clamp=[0, 1, 0, 0, -1, 0, 0, 1, 0])
+    every = cycle_graph(4, 0.6).with_vertex_data(clamp=[1, -1, 1, 1])  # no free vertex
+    models = sampler_tv_models() + [make_model(clamped), make_model(every)]
+    for m in models:
+        for L in (m.n + 1, 2):
+            law = algorithm1_output_law(m, L)
+            assert np.array_equal(law.probs, whole_tree_output_law(m, L).probs), (m.n, L)
