@@ -42,8 +42,8 @@ from .errors import IsinglabError
 from .graph import (
     WeightedGraph,
     cycle_graph,
+    galton_watson_trees,
     generate_erdos_renyi,
-    generate_galton_watson,
     path_graph,
     read_graph,
     star_graph,
@@ -490,8 +490,7 @@ def cmd_gw_stats(args) -> int:
     depth = max(radii)
     spheres = {r: np.empty(seeds) for r in radii}
     densities = np.empty(seeds, dtype=np.int64)
-    for k in range(seeds):
-        tree = generate_galton_watson(d, depth, master + k)
+    for k, tree in enumerate(galton_watson_trees(d, depth, range(master, master + seeds))):
         for r in radii:
             spheres[r][k] = np.count_nonzero(tree.depth == r)
         densities[k] = tree_path_density(tree)

@@ -8,10 +8,14 @@ are cached on first use; derived objects (balls, subgraphs) copy what they need.
 
 Vertex sets here use plain sorted numpy arrays; neighbor lists are sorted
 ascending, which the tree constructions below rely on for determinism.
+The random generators and the ball-excess scan run a BFS level at a time
+in numpy, with the draws and results of node-by-node loops.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +25,8 @@ from .errors import BudgetError
 from .rng import POISSON_MEAN_CAP, poisson_by_inversion, substream
 
 DEFAULT_VISIT_BUDGET = 10**7
+BALL_CHUNK = 64  # centres per ball_excesses pass
+GW_CHUNK_NODES = 1 << 11  # nodes a galton_watson_trees chunk aims at
 PLUS_PROB_MARGIN = 1e-12  # far above the few-ulp error of a logistic in [0, 1]
 
 
@@ -158,26 +164,21 @@ def graph_from_edges(n, edges, h=None, clamp=None) -> WeightedGraph:
         raise ValueError("self-loops are not allowed")
     if np.any(ws < 0.0) or not np.all(np.isfinite(ws)):
         raise ValueError("couplings must be finite and >= 0")
-    src = np.concatenate([us, vs])
-    dst = np.concatenate([vs, us])
-    wgt = np.concatenate([ws, ws])
+    return _graph_from_arrays(n, us, vs, ws, h, clamp)
+
+
+def _graph_from_arrays(n, us, vs, ws, h=None, clamp=None) -> WeightedGraph:
+    """The CSR graph on n vertices with edges (us[i], vs[i]) of coupling ws[i]."""
+    src, dst = np.concatenate([us, vs]), np.concatenate([vs, us])
     order = np.lexsort((dst, src))
-    src, dst, wgt = src[order], dst[order], wgt[order]
+    src, dst, wgt = src[order], dst[order], np.concatenate([ws, ws])[order]
     if np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):  # one edge given twice
         raise ValueError("duplicate edge")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    if h is None:
-        h = np.zeros(n)
-    if clamp is None:
-        clamp = np.zeros(n, dtype=np.int8)
-    g = WeightedGraph(
-        int(n), _freeze(indptr), _freeze(dst.astype(np.int64)),
-        _freeze(wgt.astype(np.float64)), np.asarray(h, dtype=np.float64),
-        np.asarray(clamp, dtype=np.int8),
-    )
-    # route through the validating constructor for h/clamp
-    return g.with_vertex_data(h=g.h, clamp=g.clamp)
+    g = WeightedGraph(int(n), _freeze(indptr), _freeze(dst), _freeze(wgt),
+                      np.zeros(n), np.zeros(n, dtype=np.int8))
+    return g.with_vertex_data(h=h, clamp=clamp)  # validates and freezes the vertex data
 
 
 @dataclass(frozen=True)
@@ -317,39 +318,49 @@ def ball_excesses(g: WeightedGraph, radius: int) -> np.ndarray:
     """Cycle excess of every vertex's radius-``radius`` ball, by counting.
 
     Entry v equals ``tree_excess(ball(g, v, radius).subgraph)``, but no
-    subgraph is built: a BFS over ``adjacency`` rows counts the ball's
-    vertices and its induced edges.  Every neighbour of a vertex at
+    subgraph is built: a level-synchronous BFS over the CSR arrays counts
+    each ball's vertices and induced edges.  Every neighbour of a vertex at
     distance below ``radius`` lies in the ball, so the edge count is half
     of those vertices' degree sum plus the in-ball neighbours of the
-    sphere.  One stamp list, marking membership by center id, serves every
-    center.
+    sphere.  ``BALL_CHUNK`` centres share a pass, which ends when no ball
+    grows.  One dense array over keys ``slot * n + u`` marks u as in the
+    slot-th centre's ball with the pass's tag.  A level writes each new
+    key's candidates' negative ids there and keeps the one id that stays.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    adjacency = g.adjacency
-    stamp = [-1] * g.n
-    out = np.empty(g.n, dtype=np.int64)
-    for v in range(g.n):
-        stamp[v] = v
-        frontier = [v]
-        size = 1
-        half_edges = 0
+    n, indptr, indices = g.n, g.indptr, g.indices
+    out = np.empty(n, dtype=np.int64)
+    seen = np.zeros(min(BALL_CHUNK, n) * n, dtype=np.int32)
+
+    def expand(slot, u):  # the (slot, neighbour) pair of every half-edge out of u
+        deg = indptr[u + 1] - indptr[u]
+        ends = np.cumsum(deg)
+        at = np.arange(ends[-1] if ends.size else 0) + np.repeat(indptr[u] - ends + deg, deg)
+        return np.repeat(slot, deg), indices[at]
+
+    for tag, c in enumerate(range(0, n, BALL_CHUNK), 1):
+        slot = np.arange(min(BALL_CHUNK, n - c))
+        b, u = slot.size, slot + c
+        seen[slot * n + u] = tag
+        size = np.ones(b, dtype=np.int64)
+        half_edges = np.zeros(b, dtype=np.int64)
         for _ in range(radius):
-            nxt = []
-            for u in frontier:
-                row = adjacency[u]
-                half_edges += len(row)
-                for w, _ in row:
-                    if stamp[w] != v:
-                        stamp[w] = v
-                        nxt.append(w)
-            size += len(nxt)
-            frontier = nxt
-        for u in frontier:
-            for w, _ in adjacency[u]:
-                if stamp[w] == v:
-                    half_edges += 1
-        out[v] = half_edges // 2 - size + 1
+            if not u.size:
+                break
+            s, w = expand(slot, u)
+            half_edges += np.bincount(s, minlength=b)
+            key = s * n + w
+            key = key[seen[key] != tag]
+            owner = -1 - np.arange(key.size, dtype=np.int32)
+            seen[key] = owner
+            key = key[seen[key] == owner]
+            seen[key] = tag
+            slot, u = np.divmod(key, n)
+            size += np.bincount(slot, minlength=b)
+        s, w = expand(slot, u)
+        half_edges += np.bincount(s[seen[s * n + w] == tag], minlength=b)
+        out[c:c + b] = half_edges // 2 - size + 1
     return out
 
 
@@ -409,37 +420,79 @@ def generate_erdos_renyi(n: int, d: float, seed: int, beta: float = 1.0) -> Weig
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= d <= n:
         raise ValueError(f"d must lie in [0, n], got {d}")
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    if not 0.0 <= beta < np.inf:
+        raise ValueError("beta must be finite and >= 0")
     rng = substream(seed, "erdos-renyi-graph")
     npairs = n * (n - 1) // 2
     m = int(rng.binomial(npairs, d / n)) if npairs else 0
 
-    def draw_pairs(count: int) -> set[tuple[int, int]]:
-        chosen: set[tuple[int, int]] = set()
-        while len(chosen) < count:
-            k = max(64, 2 * (count - len(chosen)))
-            a = rng.integers(0, n, size=k).tolist()
-            b = rng.integers(0, n, size=k).tolist()
-            for u, v in zip(a, b):
-                if u == v:
-                    continue
-                chosen.add((u, v) if u < v else (v, u))
-                if len(chosen) == count:
-                    break
-        return chosen
+    def draw_keys(count: int) -> np.ndarray:
+        """``count`` distinct pair keys min * n + max: the first drawn, ascending."""
+        chosen = np.empty(0, dtype=np.int64)
+        while chosen.size < count:
+            k = max(64, 2 * (count - chosen.size))
+            a, b = rng.integers(0, n, size=k), rng.integers(0, n, size=k)
+            pool = np.concatenate([chosen, (np.minimum(a, b) * n + np.maximum(a, b))[a != b]])
+            order = pool.argsort(kind="stable")  # equal keys stay in the order drawn
+            again = np.zeros(pool.size, dtype=bool)
+            again[order[1:]] = pool[order[1:]] == pool[order[:-1]]
+            fresh = pool[chosen.size:][~again[chosen.size:]]
+            chosen = np.concatenate([chosen, fresh[:count - chosen.size]])
+        return chosen[chosen.argsort(kind="stable")]
 
     if m <= npairs // 2:
-        pairs = sorted(draw_pairs(m))
-    else:
-        excluded = draw_pairs(npairs - m)
-        pairs = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in excluded
-        ]
-    return graph_from_edges(n, [(u, v, beta) for u, v in pairs])
+        keys = draw_keys(m)
+    else:  # every pair but the drawn ones, ascending
+        keep = np.triu(np.ones((n, n), dtype=bool), 1)
+        keep.flat[draw_keys(npairs - m)] = False
+        keys = np.flatnonzero(keep)
+    u, v = np.divmod(keys, n)
+    return _graph_from_arrays(n, u, v, np.full(keys.size, beta, dtype=np.float64))
+
+
+def galton_watson_trees(d: float, depth: int, seeds) -> Iterator[RootedTree]:
+    """``generate_galton_watson(d, depth, seed)`` for each seed, in seed order.
+
+    A chunk of seeds grows a level pass at a time, each tree drawing from
+    its own substream; chunks hold about ``GW_CHUNK_NODES`` nodes.  A tree
+    past ``DEFAULT_VISIT_BUDGET`` nodes raises BudgetError once every tree
+    before it is yielded.
+    """
+    if not 0.0 < d <= POISSON_MEAN_CAP:
+        raise ValueError(f"offspring mean must lie in (0, {POISSON_MEAN_CAP}], got {d}")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    seeds, width = iter(seeds), 1
+    while rngs := [substream(s, "galton-watson-tree") for s in itertools.islice(seeds, width)]:
+        t = len(rngs)
+        tids, parents = [np.arange(t)], [np.full(t, -1)]  # each level's trees and parents
+        wide, size, bad = [1] * t, [1] * t, t  # per tree: level width, size; first tree past budget
+        for _ in range(depth):  # nodes are numbered across the chunk in the order they are made
+            draws = [rngs[i].random(w) for i, w in enumerate(wide) if w]
+            if not draws:
+                break
+            kids = poisson_by_inversion(np.concatenate(draws), d)
+            made = sum(map(len, tids))
+            tids.append(np.repeat(tids[-1], kids))
+            parents.append(np.repeat(np.arange(made - kids.size, made), kids))
+            wide = np.bincount(tids[-1], minlength=t).tolist()
+            size = [a + b for a, b in zip(size, wide)]
+            if made + tids[-1].size > DEFAULT_VISIT_BUDGET:  # a tree may be past the budget:
+                bad = next((i for i in range(bad)  # grow neither the first such nor any after it
+                            if wide[i] and size[i] > DEFAULT_VISIT_BUDGET), bad)
+                cut = int(np.searchsorted(tids[-1], bad))
+                tids[-1], parents[-1], wide = tids[-1][:cut], parents[-1][:cut], wide[:bad]
+        tid, parent = np.concatenate(tids), np.concatenate(parents)
+        depths = np.repeat(np.arange(len(tids)), list(map(len, tids)))
+        order = np.argsort(tid, kind="stable")  # each tree's nodes together, still in level order
+        first = np.cumsum(size) - size
+        local = order.argsort(kind="stable") - first[tid]  # each node's index in its tree
+        parent, depths = np.where(parent < 0, -1, local[parent])[order], depths[order]
+        for i, (a, b) in enumerate(zip(first.tolist(), size)):
+            if i == bad:
+                raise BudgetError(f"tree exceeded {DEFAULT_VISIT_BUDGET} nodes")
+            yield make_rooted_tree(parent[a:a + b], depths[a:a + b])
+        width = max(1, min(2 * width, width * GW_CHUNK_NODES // order.size))
 
 
 def generate_galton_watson(d: float, depth: int, seed: int) -> RootedTree:
@@ -449,29 +502,7 @@ def generate_galton_watson(d: float, depth: int, seed: int) -> RootedTree:
     breadth-first order, so the tree is a deterministic function of the
     seed.  Nodes at the truncation depth get no children.
     """
-    if not 0.0 < d <= POISSON_MEAN_CAP:
-        raise ValueError(f"offspring mean must lie in (0, {POISSON_MEAN_CAP}], got {d}")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    rng = substream(seed, "galton-watson-tree")
-    parent = [-1]
-    depths = [0]
-    level = [0]
-    for r in range(depth):
-        if not level:
-            break
-        us = rng.random(len(level))
-        nxt = []
-        for node, u in zip(level, us):
-            kids = poisson_by_inversion(float(u), d)
-            for _ in range(kids):
-                if len(parent) >= DEFAULT_VISIT_BUDGET:
-                    raise BudgetError(f"tree exceeded {DEFAULT_VISIT_BUDGET} nodes")
-                nxt.append(len(parent))
-                parent.append(node)
-                depths.append(r + 1)
-        level = nxt
-    return make_rooted_tree(np.array(parent), np.array(depths))
+    return next(galton_watson_trees(d, depth, [seed]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ generator seeded with ``SeedSequence([master, hash(purpose), index])``, so
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -18,8 +19,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Sequential-search Poisson inversion is exact only while exp(-mean) is
-# comfortably above the double underflow threshold.
+# Poisson inversion by a CDF table summed term by term is exact only while
+# exp(-mean) is comfortably above the double underflow threshold.
 POISSON_MEAN_CAP = 30.0
 
 
@@ -39,24 +40,32 @@ def substream(master_seed: int, purpose: str, index: int = 0) -> np.random.Gener
     return np.random.Generator(np.random.Philox(seq))
 
 
-def poisson_by_inversion(u: float, mean: float) -> int:
-    """Poisson(mean) quantile at u via sequential search.
-
-    Consumes exactly one uniform, which keeps tree generation replayable
-    draw-for-draw.  Valid for mean <= POISSON_MEAN_CAP.
-    """
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must lie in [0, 1), got {u}")
-    if not 0.0 < mean <= POISSON_MEAN_CAP:
-        raise ValueError(f"mean must lie in (0, {POISSON_MEAN_CAP}], got {mean}")
+@functools.cache
+def _poisson_cdf(mean: float) -> np.ndarray:
+    """P[N <= k] for k below the cap, each term added in turn, then +inf at the cap."""
     p = math.exp(-mean)
-    cdf = p
-    k = 0
+    cdf = [p]
     # After mean + 40*sqrt(mean) + 50 terms the remaining tail is far below
     # double resolution, so the cap is unreachable for u < 1.
-    cap = int(mean + 40.0 * math.sqrt(mean) + 50.0)
-    while u > cdf and k < cap:
-        k += 1
+    for k in range(1, int(mean + 40.0 * math.sqrt(mean) + 50.0)):
         p *= mean / k
-        cdf += p
-    return k
+        cdf.append(cdf[-1] + p)
+    table = np.array(cdf + [np.inf])
+    table.setflags(write=False)
+    return table
+
+
+def poisson_by_inversion(u, mean: float) -> np.ndarray:
+    """Poisson(mean) quantiles at the uniforms u, by inversion.
+
+    Each draw consumes exactly one uniform, which keeps tree generation
+    replayable draw-for-draw: the draw at u is the least k with
+    u <= P[N <= k], or the cap if there is none.  Valid for
+    mean <= POISSON_MEAN_CAP.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if not (0.0 <= u.min(initial=0.0) and u.max(initial=0.0) < 1.0):  # nan fails both
+        raise ValueError("u must lie in [0, 1)")
+    if not 0.0 < mean <= POISSON_MEAN_CAP:
+        raise ValueError(f"mean must lie in (0, {POISSON_MEAN_CAP}], got {mean}")
+    return _poisson_cdf(float(mean)).searchsorted(u, side="left")

@@ -42,6 +42,7 @@ from .graph import (
     WeightedGraph,
     ball_excesses,
     cycle_graph,
+    galton_watson_trees,
     generate_erdos_renyi,
     generate_galton_watson,
     graph_from_edges,
@@ -698,8 +699,8 @@ def structure_suite(n: int = 5000, graphs: int = 10, d: float = 2.0,
 
     violations = 0
     checked = 0
-    for k in range(sphere_trees):
-        tree = generate_galton_watson(d, 6, master_seed + 15485863 + k)
+    first = master_seed + 15485863
+    for tree in galton_watson_trees(d, 6, range(first, first + sphere_trees)):
         for a in (2, 3, 4):
             if tree.height < a:
                 continue

@@ -329,7 +329,7 @@ def test_gw_stats_checks_the_radius_scale_before_any_tree(tmp_path, capsys, monk
     def no_tree(*args, **kwargs):
         raise AssertionError("a branching tree was built for a bad config")
 
-    monkeypatch.setattr(cli, "generate_galton_watson", no_tree)
+    monkeypatch.setattr(cli, "galton_watson_trees", no_tree)
     # d ** r overflows, or underflows to 0 (which once ended as a non-finite
     # mean_exp_scaled after every tree was built)
     for d, radii in [("1.01", "80000"), ("30", "3 300"), ("0.5", "2000"), ("0.01", "4 170")]:
@@ -338,6 +338,21 @@ def test_gw_stats_checks_the_radius_scale_before_any_tree(tmp_path, capsys, monk
         err = capsys.readouterr().err
         assert err.startswith("error: [gw] radii must be >= 0 with d ** r finite and nonzero")
         assert "Traceback" not in err
+
+
+def test_verify_structure_radius_far_past_the_diameter_ends(tmp_path):
+    # the ball scan stops once no ball grows, so a radius of 10**9 costs what
+    # the graph's diameter costs and gives the rows that radius 50 gives
+    rows = []
+    for radius in (50, 10**9):
+        cfg = write(tmp_path, "structure.ini",
+                    f"[verify]\nn = 50\ngraphs = 1\nradius = {radius}\nsphere_trees = 10\n")
+        out = tmp_path / "structure.txt"
+        assert run(["verify", "structure", "-v", "-c", cfg, "-o", str(out)]) == 1
+        lines = out.read_text().replace(f"(r={radius})", "(r=R)").splitlines()
+        rows.append(lines[1:])  # the header line holds the elapsed time
+    assert rows[0] == rows[1]
+    assert rows[0][-3].startswith("  FAIL graph-0-excess(r=R): ")  # -v lists all 3 checks last
 
 
 def test_verify_command(tmp_path):

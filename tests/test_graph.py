@@ -7,13 +7,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from isinglab import graph
 from isinglab.errors import BudgetError
 from isinglab.graph import (
+    BALL_CHUNK,
     DEFAULT_VISIT_BUDGET,
     Ball,
     ball,
     ball_excesses,
     cycle_graph,
+    galton_watson_trees,
     generate_erdos_renyi,
     generate_galton_watson,
     graph_from_edges,
@@ -29,6 +32,7 @@ from isinglab.graph import (
 from isinglab.rng import substream
 from isinglab.sawtree import build_saw_trees
 from isinglab.verify import enumerate_tree_shapes
+from test_rng import poisson_sequential
 
 
 def test_graph_from_edges_validation():
@@ -138,6 +142,50 @@ def test_er_graphs_pinned():
         assert hashlib.sha256(data).hexdigest() == digest, (n, d, seed, beta)
 
 
+def erdos_renyi_by_sets(n: int, d: float, seed: int, beta: float = 1.0):
+    """generate_erdos_renyi as a set of pair tuples and a list of triples gave it."""
+    rng = substream(seed, "erdos-renyi-graph")
+    npairs = n * (n - 1) // 2
+    m = int(rng.binomial(npairs, d / n)) if npairs else 0
+
+    def draw_pairs(count):
+        chosen = set()
+        while len(chosen) < count:
+            k = max(64, 2 * (count - len(chosen)))
+            a = rng.integers(0, n, size=k).tolist()
+            b = rng.integers(0, n, size=k).tolist()
+            for u, v in zip(a, b):
+                if u == v:
+                    continue
+                chosen.add((u, v) if u < v else (v, u))
+                if len(chosen) == count:
+                    break
+        return chosen
+
+    if m <= npairs // 2:
+        pairs = sorted(draw_pairs(m))
+    else:
+        excluded = draw_pairs(npairs - m)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in excluded]
+    return graph_from_edges(n, [(u, v, beta) for u, v in pairs])
+
+
+def test_er_arrays_match_the_set_oracle():
+    # (12, 9.0) and (30, 20.0) place the complement of the drawn pairs;
+    # n = 1 and d = 0 draw none
+    cases = [(1, 0.0), (1, 1.0), (2, 2.0), (40, 0.0), (12, 9.0), (30, 20.0), (9, 9.0),
+             (200, 1.0), (500, 30.0), (3000, 2.0)]
+    for (n, d), seed in itertools.product(cases, range(4)):
+        got = generate_erdos_renyi(n, d, seed, beta=0.3 + seed)
+        want = erdos_renyi_by_sets(n, d, seed, beta=0.3 + seed)
+        for name in ("indptr", "indices", "weights", "h", "clamp"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, d, seed, name)
+            assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        generate_erdos_renyi(10, 2.0, 1, beta=float("inf"))
+
+
 def test_duplicate_edges_rejected_in_either_orientation():
     for dup in [(2, 4, 0.5), (4, 2, 0.5), (4, 2, 3.0)]:
         for edges in ([(2, 4, 0.5), (0, 1, 1.0), dup], [dup, (0, 1, 1.0), (2, 4, 0.5)]):
@@ -155,6 +203,95 @@ def test_gw_tree_offspring_mean():
         sizes.append(t.size)
     # E[size] = 1 + 2 + 4 + 8 = 15 at d=2, depth 3
     assert abs(np.mean(sizes) - 15.0) < 1.5
+
+
+def galton_watson_by_nodes(d: float, depth: int, seed: int):
+    """generate_galton_watson as one scalar inversion per node gave it."""
+    rng = substream(seed, "galton-watson-tree")
+    parent, depths, level = [-1], [0], [0]
+    for r in range(depth):
+        if not level:
+            break
+        us = rng.random(len(level))
+        nxt = []
+        for node, u in zip(level, us):
+            for _ in range(poisson_sequential(float(u), d)):
+                if len(parent) >= graph.DEFAULT_VISIT_BUDGET:
+                    raise BudgetError(f"tree exceeded {graph.DEFAULT_VISIT_BUDGET} nodes")
+                nxt.append(len(parent))
+                parent.append(node)
+                depths.append(r + 1)
+        level = nxt
+    return make_rooted_tree(np.array(parent), np.array(depths))
+
+
+def _same_tree(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.parent, b.parent), (a.depth, b.depth), (a.label, b.label)))
+
+
+def test_gw_level_passes_match_the_node_oracle():
+    extinct = 0
+    for d, depths in ((0.5, range(9)), (2.0, range(9)), (30.0, range(4))):
+        for depth in depths:
+            seeds = range(100 * depth, 100 * depth + (12 if d < 30 else 3))
+            for seed, tree in zip(seeds, galton_watson_trees(d, depth, seeds), strict=True):
+                want = galton_watson_by_nodes(d, depth, seed)
+                assert _same_tree(tree, want), (d, depth, seed)
+                assert _same_tree(generate_galton_watson(d, depth, seed), want)
+                extinct += tree.height < depth
+    assert extinct > 0
+
+
+def test_gw_batches_match_one_seed_calls_across_chunk_splits(monkeypatch):
+    seeds = [5, 3, 3, 70, 1, 2**40] + list(range(200, 240))
+    want = [generate_galton_watson(1.5, 7, s) for s in seeds]
+    for cap in (1, 7, 60, 1 << 14):  # chunks of one seed up to all of them
+        monkeypatch.setattr(graph, "GW_CHUNK_NODES", cap)
+        got = list(galton_watson_trees(1.5, 7, iter(seeds)))
+        assert len(got) == len(want) and all(map(_same_tree, got, want)), cap
+    assert list(galton_watson_trees(1.5, 7, [])) == []
+    for d, depth in ((0.0, 3), (31.0, 3), (2.0, -1)):
+        with pytest.raises(ValueError):
+            next(galton_watson_trees(d, depth, [1]))
+
+
+def test_gw_budget_error_at_the_node_oracle_point(monkeypatch):
+    # trees past the budget raise where one node at a time would; a batch
+    # yields every tree before the first such seed, then raises
+    monkeypatch.setattr(graph, "DEFAULT_VISIT_BUDGET", 40)
+    seeds = range(60)
+    fits = []
+    for seed in seeds:
+        try:
+            galton_watson_by_nodes(2.0, 5, seed)
+        except BudgetError:
+            fits.append(False)
+            with pytest.raises(BudgetError, match="exceeded 40 nodes"):
+                generate_galton_watson(2.0, 5, seed)
+        else:
+            fits.append(True)
+            assert _same_tree(generate_galton_watson(2.0, 5, seed),
+                              galton_watson_by_nodes(2.0, 5, seed))
+    assert 0 < fits.index(False) and fits.count(False) > 1
+    for cap in (1, 100, 1 << 14):
+        monkeypatch.setattr(graph, "GW_CHUNK_NODES", cap)
+        got = []
+        with pytest.raises(BudgetError):
+            got.extend(galton_watson_trees(2.0, 5, seeds))
+        assert len(got) == fits.index(False), cap
+    monkeypatch.setattr(graph, "DEFAULT_VISIT_BUDGET", 2000)  # d = 30 fits to depth 2
+    for depth, seed in itertools.product(range(1, 9), range(3)):
+        try:
+            want = galton_watson_by_nodes(30.0, depth, seed)
+        except BudgetError:
+            assert depth > 2
+            with pytest.raises(BudgetError):
+                generate_galton_watson(30.0, depth, seed)
+        else:
+            assert depth <= 2 and _same_tree(generate_galton_watson(30.0, depth, seed), want)
+    monkeypatch.setattr(graph, "DEFAULT_VISIT_BUDGET", 1)  # a root alone fits any budget
+    assert generate_galton_watson(2.0, 0, 3).size == 1
 
 
 def test_ball_contents():
@@ -198,20 +335,37 @@ def test_reverse_half_edges_on_edgeless_graphs_and_a_cycle():
 
 
 def test_ball_excesses_match_ball_subgraphs():
+    # isolated vertices at both ends of a chunk of centres, and a graph
+    # whose last chunk holds a single centre
+    n = 2 * BALL_CHUNK + 1
+    lonely = [0, BALL_CHUNK - 1, BALL_CHUNK, 2 * BALL_CHUNK - 1, n - 1]
+    rest = sorted(set(range(n)) - set(lonely))  # a path with chords 5 apart, every 7
+    edges = [(a, b, 1.0) for a, b in zip(rest, rest[1:])]
+    edges += [(rest[i], rest[i + 5], 1.0) for i in range(0, len(rest) - 5, 7)]
+    chunked = graph_from_edges(n, edges)
+    assert np.all(chunked.degrees()[lonely] == 0)
     graphs = [
         path_graph(1), path_graph(5), path_graph(9), cycle_graph(3),
-        cycle_graph(7), star_graph(1), star_graph(6),
+        cycle_graph(7), star_graph(1), star_graph(6), chunked,
         generate_erdos_renyi(200, 1.0, seed=1),  # many isolated vertices
         generate_erdos_renyi(150, 3.0, seed=2),
         generate_erdos_renyi(60, 6.0, seed=3),
     ]
     assert any(np.any(g.degrees() == 0) for g in graphs)
+    assert any(g.n > BALL_CHUNK for g in graphs)
     for g in graphs:
         for r in range(6):  # reaches past the diameter of the small graphs
             got = ball_excesses(g, r)
             assert got.dtype == np.int64 and got.shape == (g.n,)
             want = [tree_excess(ball(g, v, r).subgraph) for v in range(g.n)]
             assert got.tolist() == want
+        # far past every diameter here, each ball is its vertex's component
+        whole = {}
+        for v in range(g.n):
+            if v not in whole:
+                b = ball(g, v, g.n)
+                whole.update(dict.fromkeys(b.vertices.tolist(), tree_excess(b.subgraph)))
+        assert ball_excesses(g, 10**12).tolist() == [whole[v] for v in range(g.n)]
     # the radius-3 ball of a 7-cycle closes it through the edge between
     # its two sphere vertices
     assert ball_excesses(cycle_graph(7), 2).tolist() == [0] * 7
