@@ -35,6 +35,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def csr_slots(start: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Every index of the CSR rows that begin at ``start`` with ``deg`` entries, row by row."""
+    ends = np.cumsum(deg)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + deg, deg)
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected graph with couplings, fields and clamps in CSR form."""
@@ -204,10 +210,7 @@ class RootedTree:
         return int(self.depth[-1])
 
     def num_children(self) -> np.ndarray:
-        counts = np.zeros(self.size, dtype=np.int64)
-        if self.size > 1:
-            np.add.at(counts, self.parent[1:], 1)
-        return counts
+        return np.bincount(self.parent[1:], minlength=self.size)
 
     def degrees(self) -> np.ndarray:
         """Degree of each node in the tree (children plus parent link)."""
@@ -335,9 +338,7 @@ def ball_excesses(g: WeightedGraph, radius: int) -> np.ndarray:
 
     def expand(slot, u):  # the (slot, neighbour) pair of every half-edge out of u
         deg = indptr[u + 1] - indptr[u]
-        ends = np.cumsum(deg)
-        at = np.arange(ends[-1] if ends.size else 0) + np.repeat(indptr[u] - ends + deg, deg)
-        return np.repeat(slot, deg), indices[at]
+        return np.repeat(slot, deg), indices[csr_slots(indptr[u], deg)]
 
     for tag, c in enumerate(range(0, n, BALL_CHUNK), 1):
         slot = np.arange(min(BALL_CHUNK, n - c))
@@ -552,6 +553,8 @@ def read_graph(path_or_file) -> WeightedGraph:
     if len(tokens[0]) != 2:
         raise ValueError("header must be 'n m'")
     n, m = int(tokens[0][0]), int(tokens[0][1])
+    if n < 1 or m < 0:
+        raise ValueError(f"header needs n >= 1 and m >= 0, got n={n} m={m}")
     if len(tokens) != 1 + m + n:
         raise ValueError(
             f"expected {1 + m + n} data lines for n={n} m={m}, got {len(tokens)}"

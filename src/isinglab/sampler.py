@@ -16,9 +16,10 @@ like a constant times log n, and :func:`radius_for` rounds it up.
 A walk tree depends only on the graph, its root and L, so each free
 vertex's tree is built once, all of them in one forest build over the
 free vertices, and re-folded under every draw's or prefix's conditioning,
-carried as a pins vector updated in place.  Every prefix of the output
-law pins the clamps and v_1..v_{i-1} when v_i is drawn, and a pin screens
-its subtree, so the output law folds only the unscreened part of tree i.
+carried as a pins vector updated in place.  Every draw and prefix pins
+the clamps and v_1..v_{i-1} when v_i is drawn, so tree i is built screened
+at those vertices (see sawtree), which keeps the whole tree's bits.  The
+``saw_sizes`` a run reports, and its ``max_nodes``, count whole trees.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .dynamics import UpdateStream
 from .errors import SizeError
 from .model import ExactDistribution, IsingModel
-from .sawtree import DEFAULT_NODE_BUDGET, build_saw_trees, tree_model, unscreened
+from .sawtree import DEFAULT_NODE_BUDGET, build_saw_trees, saw_tree_sizes, tree_model
 from .treecalc import root_marginal
 
 OUTPUT_LAW_VERTEX_CAP = 14
@@ -45,7 +46,7 @@ class SamplerRun:
     order: np.ndarray  # visit order (the free vertices, ascending)
     p: np.ndarray  # marginal used at each step
     spins: np.ndarray  # full configuration including clamped vertices
-    saw_sizes: np.ndarray  # walk-tree node count at each step
+    saw_sizes: np.ndarray  # whole walk-tree node count at each step
 
     def to_json_dict(self) -> dict:
         return {
@@ -64,13 +65,12 @@ def algorithm1_samples(m: IsingModel, depth_limit: int, streams: list[UpdateStre
     Draw k's pins vector is also its spins; draw k reads only ``streams[k]``.
     """
     free = m.graph.free_vertices()
+    sizes = saw_tree_sizes(m.graph, free, depth_limit, max_nodes)
     us = [stream.next_uniforms(free.size) for stream in streams]
     spins = [m.graph.clamp.copy() for _ in streams]
     ps = np.empty((len(streams), free.size))
-    sizes = np.empty(free.size, dtype=np.int64)
-    trees = build_saw_trees(m.graph, free, depth_limit, max_nodes)
+    trees = build_saw_trees(m.graph, free, depth_limit, max_nodes, screened=True)
     for i, (v, st) in enumerate(zip(free, trees)):
-        sizes[i] = st.size
         for k, pins in enumerate(spins):
             p = root_marginal(tree_model(st, pins))
             pins[v] = 1 if us[k][i] <= p else -1
@@ -90,8 +90,8 @@ def algorithm1_output_law(m: IsingModel, depth_limit: int) -> ExactDistribution:
 
     Extends every prefix, a bitmask of + spins keyed to its weight, by one
     free vertex per step, multiplying in that step's marginal.  Each tree
-    is built and cut once, and a step's marginal depends only on the drawn
-    spins its cut sees, so each step folds once per distinct pattern of
+    is built screened once, and a step's marginal depends only on the drawn
+    spins that tree sees, so each step folds once per distinct pattern of
     them; the other prefixes reuse that fold.
     """
     free = m.graph.free_vertices()
@@ -99,16 +99,15 @@ def algorithm1_output_law(m: IsingModel, depth_limit: int) -> ExactDistribution:
         raise SizeError(f"output-law enumeration capped at {OUTPUT_LAW_VERTEX_CAP} vertices")
     pins = m.graph.clamp.copy()
     level = {sum(1 << int(v) for v in np.flatnonzero(pins > 0)): 1.0}
-    for i, st in enumerate(build_saw_trees(m.graph, free, depth_limit)):
+    for i, st in enumerate(build_saw_trees(m.graph, free, depth_limit, screened=True)):
         drawn, v = free[:i], 1 << int(free[i])
-        cut = unscreened(st, (m.graph.clamp != 0) | (np.bincount(drawn, minlength=m.n) > 0))
-        sees = int(np.bitwise_or.reduce(1 << cut.tree.label))  # the spins the cut sees
+        sees = int(np.bitwise_or.reduce(1 << st.tree.label))  # the spins the tree sees
         folds, grown = {}, {}
         for mask, weight in level.items():
             p = folds.get(mask & sees)
             if p is None:
                 pins[drawn] = np.where((mask >> drawn) & 1, 1, -1)
-                p = folds[mask & sees] = root_marginal(tree_model(cut, pins))
+                p = folds[mask & sees] = root_marginal(tree_model(st, pins))
             grown[mask | v], grown[mask] = weight * p, weight * (1.0 - p)
         level = grown
     probs = np.zeros(1 << m.n)

@@ -24,14 +24,17 @@ Trees are built level by level in numpy, many roots per level pass.  A
 walk's children come from its endpoint's CSR row less the reverse of the
 half-edge it arrived by, and a child can close a cycle only if its
 vertex's bit (vertex mod 64) is in the walk's mask of its vertices, so
-only those children have their ancestors chased.  Each tree keeps the
-order it was grown in: depth by depth, each level grouped by parent with
-children in ascending neighbor order.  :func:`saw_brackets_at_radii`
-folds the levels without assembling a tree.  Per-root node counts are
-known before a level is built, so a node budget is enforced without
-building the level that would pass it.  Roots share passes in chunks of at most
-CHUNK_NODES nodes, so memory follows the chunk, or the budget for a tree
-larger than a chunk.
+only those children have their ancestors chased.  A screened tree also
+stops each walk at a vertex that every fold of it pins; that node stays
+a leaf with its label and cycle-closure pin, so it takes the fold's pin,
+and as a pin screens its subtree the tree folds to the whole tree's bits.
+Each tree keeps the order it was grown in: depth by depth, each level
+grouped by parent with children in ascending neighbor order.
+:func:`saw_brackets_at_radii` folds the levels without assembling a tree.
+Per-root node counts are known before a level is built, so a node budget
+is enforced without building the level that would pass it.  Roots share
+passes in chunks of at most CHUNK_NODES nodes, so memory follows the
+chunk, or the budget for a tree larger than a chunk.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetError, ConditioningError
-from .graph import WeightedGraph, make_rooted_tree
+from .graph import WeightedGraph, csr_slots, make_rooted_tree
 from .model import IsingModel, merge_conditioning, plus_prob
 from .treecalc import TreeModel, boundary_bracket, root_marginal
 
@@ -57,18 +60,25 @@ _BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)  # w's walk-mask bit: _BIT
 
 
 def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
-                    max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[TreeModel]:
+                    max_nodes: int = DEFAULT_NODE_BUDGET,
+                    screened: bool = False) -> Iterator[TreeModel]:
     """Walk trees of several roots as tree models, yielded in root order.
 
     Trees are grown level by level, many roots per level pass, and laid
     out in the order they were grown: depth by depth, each depth grouped
     by parent with children in ascending neighbor order, so parent
-    indices precede children.  Raises BudgetError when some root's tree
-    has more than ``max_nodes`` nodes, after yielding the trees of earlier
-    chunks; the level that would overflow is never built.
+    indices precede children.  With ``screened`` the roots must be
+    distinct, and every walk of the tree of ``roots[i]`` stops, as a leaf,
+    at a vertex that is clamped or one of ``roots[:i]``.
+    Raises BudgetError when some root's tree, screened or not, has more
+    than ``max_nodes`` nodes, after yielding the trees of earlier chunks;
+    the level that would overflow is never built.
     """
     roots = _check_roots(g, roots, depth_limit)
-    for levels, counts in _forests(g, roots, depth_limit, max_nodes, count_only=False):
+    rank = np.full(g.n, roots.size) if screened else None  # index in roots, -1 if clamped
+    if screened:
+        rank[roots], rank[g.clamp != 0] = np.arange(roots.size), -1
+    for levels, counts in _forests(g, roots, depth_limit, max_nodes, False, rank=rank):
         yield from _level_trees(levels, counts, g)
 
 
@@ -133,17 +143,19 @@ def _check_roots(g: WeightedGraph, roots, depth_limit: int) -> np.ndarray:
 
 
 def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int,
-             count_only: bool):
+             count_only: bool, rank: np.ndarray | None = None):
     """(levels, counts) of successive root chunks, covering ``roots`` in order.
 
     The first chunk starts with up to CHUNK_NODES roots, each later one with
-    as many as the previous chunk's mean tree size says will fit.
+    as many as the previous chunk's mean tree size says will fit.  ``rank``
+    screens as in :func:`_grow_forest`, ranked against the whole root list.
     """
     done = 0
     take = CHUNK_NODES
     while done < roots.size:
         levels, counts, reached = _grow_forest(g, roots[done:done + take], depth_limit,
-                                               max_nodes, count_only)
+                                               max_nodes, count_only,
+                                               None if rank is None else rank - done)
         if reached < depth_limit:
             raise BudgetError(f"walk tree exceeded {max_nodes} nodes")
         done += counts.size
@@ -152,7 +164,7 @@ def _forests(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: i
 
 
 def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_nodes: int,
-                 count_only: bool):
+                 count_only: bool, rank: np.ndarray | None = None):
     """Grow the walk trees of ``roots``, or of the prefix that fits CHUNK_NODES.
 
     Returns ``(levels, counts, reached)``.  ``levels[k]`` is a tuple (parent, vertex,
@@ -164,7 +176,8 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
     grouped by root in root order.  ``counts[r]`` is root r's node count.
     Roots are dropped from the end while the forest would pass CHUNK_NODES
     nodes and more than one root is left.  With ``count_only`` the deepest
-    level is counted, not built.
+    level is counted, not built.  With ``rank``, a walk of root r's tree
+    continues only from vertices u with rank[u] >= r.
     Growth stops at ``reached`` = k when some tree would pass ``max_nodes``
     nodes at depth k + 1; otherwise ``reached`` is ``depth_limit``.
     """
@@ -176,7 +189,8 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
     mask = _BIT[roots & 63] if depth_limit - count_only > 2 else None  # if a level is chased
     for k in range(depth_limit):
         _, vertex, root, edge, pin = levels[k]
-        node = np.flatnonzero(pin == 0)  # walks that continue
+        go = pin == 0 if rank is None else (pin == 0) & (rank[vertex] >= root)
+        node = np.flatnonzero(go)  # walks that continue
         at = vertex[node]
         start = indptr[at]
         # each continues to every neighbor but the previous vertex, as the
@@ -199,8 +213,7 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
         if count_only and k + 1 == depth_limit:
             break
         parent = np.repeat(node, deg)
-        ends = np.cumsum(deg)
-        child = np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + deg, deg)
+        child = csr_slots(start, deg)
         if k > 0:  # step over the reverse of the in-edge, back to the previous vertex
             child += child >= np.repeat(g.reverse[edge[node]], deg)
         vert = indices[child]
@@ -273,23 +286,6 @@ def tree_model(st: TreeModel, pins: np.ndarray) -> TreeModel:
     if node_pins[0] != 0:
         raise ConditioningError(f"query vertex {int(labels[0])} is pinned")
     return TreeModel(st.tree, st.edge_beta, st.h, np.where(node_pins, node_pins, st.clamp))
-
-
-def unscreened(st: TreeModel, pinned: np.ndarray) -> TreeModel:
-    """st cut to the nodes with no pinned proper ancestor, still in level order.
-
-    ``pinned`` is a bool per vertex (closures count as pinned); under pins
-    that pin every vertex in it, the cut folds to the whole tree's bits.
-    """
-    parent, depth = st.tree.parent, st.tree.depth
-    opens = ~pinned[st.tree.label] & (st.clamp == 0)  # free nodes; then kept free nodes
-    first = np.searchsorted(depth, np.arange(1, st.tree.height + 2)).tolist()
-    for a, b in zip(first, first[1:]):  # depth by depth
-        opens[a:b] &= opens[parent[a:b]]
-    kept = np.flatnonzero(np.concatenate([[True], opens[parent[1:]]]))
-    parent = np.concatenate([[-1], np.searchsorted(kept, parent[kept[1:]])])  # parents are kept
-    tree = make_rooted_tree(parent, depth[kept], st.tree.label[kept])
-    return TreeModel(tree, st.edge_beta[kept], st.h[kept], st.clamp[kept])
 
 
 def saw_marginal_from_tree(st: TreeModel, m: IsingModel,

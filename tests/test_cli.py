@@ -282,6 +282,17 @@ def test_sample_budget_failure_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sample_budget_counts_whole_trees(tmp_path, capsys):
+    # on a path at L = 3 every screened tree has at most 5 nodes, but the
+    # whole tree of an inner vertex has 7, and the budget counts whole trees
+    cfg = write(tmp_path, "path.ini", "[model]\nkind = path\nn = 10\nbeta = 0.4\n\n"
+                "[sample]\nL = 3\nmax_nodes = 5\n")
+    out = tmp_path / "path.json"
+    assert run(["sample", "-c", cfg, "-o", str(out)]) == 2
+    assert "sampling draw 0 failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_to_stdout_matches_the_file(tmp_path, capsys):
     cfg = write(tmp_path, "pin.ini", SAMPLE_PIN_INI)
     out = tmp_path / "pin.json"

@@ -101,6 +101,8 @@ def test_read_graph_rejects_garbage():
         read_graph(io.StringIO("2 1\n0 1 1.0\n0 0.0\n"))  # missing a field line
     with pytest.raises(ValueError):
         read_graph(io.StringIO("2 1\n0 1 1.0\n0 0.0\n1 nan\n"))
+    with pytest.raises(ValueError):
+        read_graph(io.StringIO("3 -2\n0 0.5\n"))  # 1 + m + n lines, but m < 0
 
 
 def test_small_topologies():

@@ -13,10 +13,11 @@ import io  # noqa: E402
 import itertools  # noqa: E402
 import math  # noqa: E402
 from dataclasses import replace  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from isinglab import kernels  # noqa: E402
+from isinglab import kernels, sawtree  # noqa: E402
 from isinglab.dynamics import (  # noqa: E402
     UpdateStream,
     build_block_transition_matrix,
@@ -52,7 +53,6 @@ from isinglab.sawtree import (  # noqa: E402
     saw_tree_size,
     saw_tree_sizes,
     tree_model,
-    unscreened,
 )
 from isinglab.treecalc import TreeModel, boundary_bracket, root_field  # noqa: E402
 from test_dynamics import chain_steps_counted  # noqa: E402
@@ -445,32 +445,53 @@ def test_reused_trees_match_rebuilt_trees(m, data):
     assert law.probs.tobytes() == _reference_law(m, depth).tobytes()
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(clamped_models(), st.data())
-def test_unscreened_cut_folds_to_whole_tree_bits(m, data):
-    free = m.graph.free_vertices().tolist()
-    v = data.draw(st.sampled_from(free))
-    depth = data.draw(st.integers(0, m.n + 1))
-    others = [u for u in free if u != v]
-    cond = data.draw(st.dictionaries(st.sampled_from(others), spin)) if others else {}
-    pins = merge_conditioning(m, cond)  # pins every vertex in pinned, and perhaps more
-    chosen = data.draw(st.lists(st.booleans(), min_size=m.n, max_size=m.n))
-    pinned = np.array(chosen, dtype=bool) & (pins != 0)
-    whole = build_saw_tree(m.graph, v, depth)
-    cut = unscreened(whole, pinned)
-    assert root_field(tree_model(cut, pins)).hex() == root_field(tree_model(whole, pins)).hex()
-    # the cut is the whole tree's nodes below no pinned node, in the same order
-    par, label = whole.tree.parent, whole.tree.label
-    opens = [not pinned[label[i]] and whole.clamp[i] == 0 for i in range(whole.size)]
-    keep = [True]
-    for i in range(1, whole.size):
-        keep.append(keep[par[i]] and opens[par[i]])
-    kept = np.flatnonzero(keep)
-    assert cut.tree.label[0] == v
-    for a, b in zip(_tree_model_arrays(cut)[1:], _tree_model_arrays(whole)[1:]):
-        assert a.tobytes() == b[kept].tobytes()
-    assert (kept[cut.tree.parent[1:]] == par[kept[1:]]).all()
-    assert not any(pinned[label[p]] or whole.clamp[p] for p in par[kept[1:]])
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(forest_cases(), st.data())
+def test_screened_trees_are_the_whole_trees_below_no_pin(case, data):
+    g, roots, depth, max_nodes = case
+    roots = list(dict.fromkeys(roots))  # distinct, in first-seen order
+    spread = data.draw(st.sampled_from([[0], [0] * 9 + [1], [0, 0, 0, 1, -1]]))
+    clamp = np.array(data.draw(st.lists(st.sampled_from(spread), min_size=g.n, max_size=g.n)),
+                     dtype=np.int8)
+    h = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=g.n, max_size=g.n)))
+    g = g.with_vertex_data(h=h, clamp=clamp)
+    try:
+        wholes = list(build_saw_trees(g, roots, depth, 3 * CHUNK_NODES))
+    except BudgetError:
+        return
+    # tree i keeps the nodes of the whole tree below no node whose vertex is
+    # clamped or one of roots[:i], and none below a cycle closure
+    pinned, kept = clamp != 0, []
+    for v, whole in zip(roots, wholes):
+        par, label = whole.tree.parent, whole.tree.label
+        opens = [not pinned[label[i]] and whole.clamp[i] == 0 for i in range(whole.size)]
+        keep = [True]
+        for i in range(1, whole.size):
+            keep.append(keep[par[i]] and opens[par[i]])
+        kept.append(np.flatnonzero(keep))
+        pinned = pinned.copy()
+        pinned[v] = True
+    # a 64-node chunk spreads the roots over several chunks and evicts some mid-growth
+    chunk = mock.patch.object(sawtree, "CHUNK_NODES", data.draw(st.sampled_from([CHUNK_NODES, 64])))
+    if max((k.size for k in kept), default=0) > max_nodes:
+        with chunk, pytest.raises(BudgetError):
+            list(build_saw_trees(g, roots, depth, max_nodes, screened=True))
+        return
+    with chunk:
+        got = list(build_saw_trees(g, roots, depth, max_nodes, screened=True))
+    assert len(got) == len(roots)
+    spins = np.array(data.draw(st.lists(spin, min_size=g.n, max_size=g.n)), dtype=np.int8)
+    for i, (tm, whole, keep) in enumerate(zip(got, wholes, kept)):
+        parent = np.concatenate([[-1], np.searchsorted(keep, whole.tree.parent[keep[1:]])])
+        want = (parent, *(a[keep] for a in _tree_model_arrays(whole)[1:]))
+        for a, b in zip(_tree_model_arrays(tm), want, strict=True):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        if clamp[roots[i]] == 0:  # pins on the clamps and the earlier roots
+            pins = clamp.copy()
+            pins[roots[:i]] = np.where(clamp[roots[:i]], clamp[roots[:i]], spins[roots[:i]])
+            assert root_field(tree_model(tm, pins)).hex() == \
+                root_field(tree_model(whole, pins)).hex()
 
 
 # ---------------------------------------------------------------------------

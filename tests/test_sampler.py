@@ -168,7 +168,7 @@ def sampler_tv_models():
 
 
 def test_output_law_matches_whole_tree_prefix_folds():
-    # cut trees, folds shared between prefixes and the step-by-step
+    # screened trees, folds shared between prefixes and the step-by-step
     # enumeration give the bits of one whole-tree fold per prefix
     clamped = cycle_graph(9, 0.6).with_vertex_data(
         h=np.linspace(-0.4, 0.4, 9), clamp=[0, 1, 0, 0, -1, 0, 0, 1, 0])
