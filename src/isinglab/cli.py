@@ -32,6 +32,7 @@ import math
 import multiprocessing
 import os
 import sys
+import time
 from collections.abc import Iterable
 
 import numpy as np
@@ -371,7 +372,12 @@ def cmd_verify(args) -> int:
         for key, value in kwargs.items():
             if value is not None and key in VERIFY_DOMAINS:
                 _checked(f"[verify] {key}", value, type(value), VERIFY_DOMAINS[key], kwargs)
-    reports = [fn(**kwargs) for fn, kwargs in zip(parts, calls)]
+    reports = []
+    for fn, kwargs in zip(parts, calls):
+        t0 = time.perf_counter()
+        report = fn(**kwargs)
+        report.elapsed = time.perf_counter() - t0
+        reports.append(report)
     lines = []
     for report in reports:
         lines.append(verify.format_report(report))

@@ -23,7 +23,7 @@ from . import kernels
 from .errors import MonotonicityError, SizeError
 from .model import (
     IsingModel,
-    _log_weights_table,
+    _allowed_states,
     all_minus,
     all_plus,
     normalize_log_weights,
@@ -55,16 +55,12 @@ class UpdateStream:
         self.free = m.graph.free_vertices()
         if self.free.size == 0:
             raise ValueError("model has no free vertices")
-        self.master_seed = int(master_seed)
-        self.chain_id = int(chain_id)
-        self.counter = 0
         self._rng = substream(master_seed, "glauber-updates", chain_id)
 
     def next_updates(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The next ``count`` (site, uniform) pairs."""
         w = self._rng.random((count, 2))
         sites = self.free[(w[:, 0] * self.free.size).astype(np.int64)]
-        self.counter += count
         return sites, np.ascontiguousarray(w[:, 1])
 
     def next_uniforms(self, count: int) -> np.ndarray:
@@ -216,9 +212,9 @@ def _free_state_law(m: IsingModel) -> tuple[np.ndarray, np.ndarray]:
         raise SizeError(f"transition matrix capped at {MATRIX_VERTEX_CAP} vertices")
     if m.graph.free_vertices().size == 0:
         raise ValueError("model has no free vertices")
-    logw, ok = _log_weights_table(m)
-    probs, _ = normalize_log_weights(logw, ok)
-    return logw[ok], probs[ok]
+    ok = _allowed_states(m, m.graph.clamp)
+    probs, _ = normalize_log_weights(m.log_weights, ok)
+    return m.log_weights[ok], probs[ok]
 
 
 def _transition_matrix(mat: np.ndarray, stationary: np.ndarray,

@@ -275,10 +275,6 @@ class Ball:
     dist: np.ndarray  # per local vertex
     subgraph: WeightedGraph
 
-    @property
-    def size(self) -> int:
-        return self.vertices.shape[0]
-
 
 def ball(g: WeightedGraph, v: int, radius: int) -> Ball:
     """Vertices within ``radius`` hops of v with the induced edges."""

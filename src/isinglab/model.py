@@ -12,6 +12,7 @@ included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,7 @@ EXACT_ENUM_CAP = 20
 
 @dataclass(frozen=True)
 class IsingModel:
-    """A weighted graph together with its cached largest coupling."""
+    """A weighted graph with its cached largest coupling and log-weight table."""
 
     graph: WeightedGraph
     beta_max: float
@@ -31,6 +32,26 @@ class IsingModel:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        """``log_weights[x]``: log weight of bitmask state x, clamps ignored.
+
+        Built on first use and read-only; bit v of x is 1 exactly when
+        s_v = +1.  Capped at EXACT_ENUM_CAP vertices.
+        """
+        g, n = self.graph, self.n
+        if n > EXACT_ENUM_CAP:
+            raise SizeError(f"exact enumeration capped at {EXACT_ENUM_CAP} vertices, got {n}")
+        idx = np.arange(1 << n, dtype=np.int64)
+        logw = np.zeros(1 << n)
+        for (u, v), b in zip(g.edge_array(), g.edge_weights()):
+            disagree = ((idx >> int(u)) ^ (idx >> int(v))) & 1
+            logw += b * (1.0 - 2.0 * disagree)
+        for v in range(n):
+            logw += g.h[v] * (2.0 * ((idx >> v) & 1) - 1.0)
+        logw.setflags(write=False)
+        return logw
 
 
 def make_model(g: WeightedGraph) -> IsingModel:
@@ -89,35 +110,13 @@ class ExactDistribution:
     log_z: float | None
 
 
-def _log_weights_table(m: IsingModel,
-                       pins: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(log weight, pin-consistent) arrays over all 2^n bitmask states.
-
-    ``pins`` (+-1 pinned, 0 free) defaults to the model's clamps.
-    """
-    g = m.graph
-    n = g.n
-    if n > EXACT_ENUM_CAP:
-        raise SizeError(f"exact enumeration capped at {EXACT_ENUM_CAP} vertices, got {n}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    logw = np.zeros(1 << n)
-    edges = g.edge_array()
-    wts = g.edge_weights()
-    for (u, v), b in zip(edges, wts):
-        disagree = ((idx >> int(u)) ^ (idx >> int(v))) & 1
-        logw += b * (1.0 - 2.0 * disagree)
-    for v in range(n):
-        sv = 2.0 * ((idx >> v) & 1) - 1.0
-        logw += g.h[v] * sv
-    if pins is None:
-        pins = g.clamp
-    ok = np.ones(1 << n, dtype=bool)
-    for v in range(n):
-        c = pins[v]
-        if c != 0:
-            bit = (idx >> v) & 1
-            ok &= bit == (1 if c > 0 else 0)
-    return logw, ok
+def _allowed_states(m: IsingModel, pins: np.ndarray) -> np.ndarray:
+    """Mask of the bitmask states that agree with ``pins`` (+-1 pinned, 0 free)."""
+    idx = np.arange(m.log_weights.size, dtype=np.int64)  # the size cap fires first
+    ok = np.ones(idx.size, dtype=bool)
+    for v in np.flatnonzero(pins):
+        ok &= ((idx >> v) & 1) == (pins[v] > 0)
+    return ok
 
 
 def _shifted_mass(logw: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, float]:
@@ -138,7 +137,7 @@ def normalize_log_weights(logw: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray,
 
 def exact_distribution(m: IsingModel) -> ExactDistribution:
     """Brute-force Boltzmann distribution with max-shifted normalization."""
-    probs, log_z = normalize_log_weights(*_log_weights_table(m))
+    probs, log_z = normalize_log_weights(m.log_weights, _allowed_states(m, m.graph.clamp))
     return ExactDistribution(m.n, probs, log_z)
 
 
@@ -162,10 +161,10 @@ def exact_conditional_marginal(m: IsingModel, v: int, cond: dict[int, int] | Non
     pins = merge_conditioning(m, cond)
     if pins[v] != 0:
         raise ConditioningError(f"query vertex {v} is pinned")
-    logw, ok = _log_weights_table(m, pins)
+    ok = _allowed_states(m, pins)
     if not ok.any():
         raise ConditioningError("conditioning event has probability zero")
-    mass, _ = _shifted_mass(logw, ok)
+    mass, _ = _shifted_mass(m.log_weights, ok)
     num = mass[((np.arange(1 << m.n) >> v) & 1) == 1].sum()
     return float(num / mass.sum())
 

@@ -20,9 +20,7 @@ every suite reproducible run to run.
 
 from __future__ import annotations
 
-import functools
 import math
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -90,7 +88,7 @@ class SuiteReport:
 
     suite: str
     rows: list[CheckRow] = field(default_factory=list)
-    elapsed: float = 0.0
+    elapsed: float = 0.0  # seconds, set by the caller that times the suite
 
     @property
     def passed(self) -> bool:
@@ -102,16 +100,6 @@ class SuiteReport:
 
     def failures(self) -> list[CheckRow]:
         return [r for r in self.rows if not r.ok]
-
-
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.elapsed = time.perf_counter() - t0
-        return report
-    return wrapper
 
 
 def random_connected_model(rng: np.random.Generator, min_n: int = 2, max_n: int = 8,
@@ -151,7 +139,6 @@ def random_connected_model(rng: np.random.Generator, min_n: int = 2, max_n: int 
 # walk-tree marginal identity
 
 
-@_timed
 def weitz_identity_suite(models: int = 200, max_n: int = 8, tol: float = 1e-9,
                          master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
     """Walk-tree marginal equals the brute-force conditional marginal.
@@ -189,7 +176,6 @@ def weitz_identity_suite(models: int = 200, max_n: int = 8, tol: float = 1e-9,
 # tree influence bounds
 
 
-@_timed
 def path_decay_suite(max_len: int = 12, tol: float = 1e-12,
                      master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
     """End-to-end influence on a field-free path is the product of tanh(beta_i)."""
@@ -208,7 +194,6 @@ def path_decay_suite(max_len: int = 12, tol: float = 1e-12,
     return report
 
 
-@_timed
 def tree_boundary_suite(trees: int = 1000, offspring: float = 2.0, max_depth: int = 8,
                         master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
     """Boundary influence on branching trees obeys |sphere| * tanh(beta)^depth.
@@ -312,7 +297,6 @@ def min_root_path_density(g: WeightedGraph) -> int:
     return min(tree_path_density(st.tree) for st in build_saw_trees(g, range(g.n), g.n))
 
 
-@_timed
 def tree_relaxation_suite(draws: int = 2, max_n: int = 8, tol: float = 1e-9,
                           master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
     """Continuous-time relaxation on every small tree is at most exp(4 beta m).
@@ -354,7 +338,6 @@ def tree_relaxation_suite(draws: int = 2, max_n: int = 8, tol: float = 1e-9,
     return report
 
 
-@_timed
 def mixing_sandwich_suite(models: int = 50, max_n: int = 8,
                           master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
     """Exact mixing time sits between relaxation and its log-weighted stretch."""
@@ -378,7 +361,6 @@ def mixing_sandwich_suite(models: int = 50, max_n: int = 8,
     return report
 
 
-@_timed
 def consistency_suite(models: int = 10, removals: int = 15,
                       master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
     """Cross-checks tying the dynamics implementations together.
@@ -468,7 +450,6 @@ def consistency_suite(models: int = 10, removals: int = 15,
 # sampler output law
 
 
-@_timed
 def sampler_tv_suite(random_models: int = 50, max_n: int = 10,
                      exact_tol: float = 1e-8, trunc_depth: int = 2,
                      master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
@@ -539,7 +520,6 @@ def soundness_audit_bound(max_runs: int) -> int:
     return laps * sum(SOUNDNESS_CAPS) + sum(SOUNDNESS_CAPS[:rest]) + max_runs * POST_COUPLING_AUDIT
 
 
-@_timed
 def coupling_soundness_suite(min_runs: int = 100, min_steps: int = 10**6,
                              max_runs: int = 2000,
                              master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
@@ -596,7 +576,6 @@ def coupling_soundness_suite(min_runs: int = 100, min_steps: int = 10**6,
     return report
 
 
-@_timed
 def coupling_trend_suite(seeds: int = 20, d: float = 2.0, beta: float = 0.05,
                          cap: int = 10**7, slope_bound: float = 2.0,
                          master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
@@ -629,7 +608,6 @@ def coupling_trend_suite(seeds: int = 20, d: float = 2.0, beta: float = 0.05,
     return report
 
 
-@_timed
 def star_coupling_suite(seeds: int = 33, beta: float = 1.0, cap: int = 10**7,
                         growth: float = 1.5,
                         master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
@@ -656,7 +634,6 @@ def star_coupling_suite(seeds: int = 33, beta: float = 1.0, cap: int = 10**7,
 # structural statistics at scale
 
 
-@_timed
 def structure_suite(n: int = 5000, graphs: int = 10, d: float = 2.0,
                     excess_bound: int = 5, radius: int | None = None,
                     sphere_trees: int = 1000, sample_vertices: int = 25,

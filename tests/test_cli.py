@@ -407,6 +407,10 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["coupling-scan", "-c", str(tmp_path / "missing.ini"), "-o", "/dev/null"]) == 2
     nonsense = write(tmp_path, "nonsense.ini", "[model]\nkind = blob\n\n[scan]\n")
     assert run(["decay-scan", "-c", nonsense, "-o", "/dev/null"]) == 2
+    capsys.readouterr()
+    no_scan = write(tmp_path, "no-scan.ini", DECAY_INI.split("[scan]")[0])
+    assert run(["decay-scan", "-c", no_scan, "-o", "/dev/null"]) == 2
+    assert "config is missing the [scan] section" in capsys.readouterr().err
     typo = write(tmp_path, "typo.ini", "[verify]\nmodles = 3\n")
     assert run(["verify", "tree-bounds", "-c", typo, "-o", "/dev/null"]) == 2
     err = capsys.readouterr().err

@@ -28,7 +28,7 @@ from isinglab.model import (
     tv_distance,
 )
 from isinglab.rng import substream
-from isinglab.verify import random_connected_model
+from isinglab.verify import consistency_suite, random_connected_model
 
 
 def test_update_stream_deterministic_and_batch_invariant():
@@ -252,3 +252,12 @@ def test_ferromagnetic_requirement():
     stream = UpdateStream(m, 5)
     res = monotone_coupled_run(m, 10_000, stream)
     assert res.coupled
+
+
+def test_consistency_suite_passes_at_its_defaults():
+    # detailed balance and singleton blocks on 10 models, 15 edge
+    # removals and one block-product bound
+    report = consistency_suite()
+    assert report.passed and report.counts == (36, 36)
+    kinds = [row.label.split("-")[0] for row in report.rows]
+    assert [kinds.count(k) for k in ("balance", "single", "edge", "block")] == [10, 10, 15, 1]

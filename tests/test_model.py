@@ -126,6 +126,16 @@ def test_exact_distribution_size_cap():
     m = make_model(path_graph(25, 0.1))
     with pytest.raises(SizeError):
         exact_distribution(m)
+    with pytest.raises(SizeError):
+        exact_conditional_marginal(m, 0)
+
+
+def test_log_weights_cached_and_read_only():
+    m = make_model(path_graph(4, 0.6))
+    table = m.log_weights
+    assert m.log_weights is table and table.shape == (16,)
+    with pytest.raises(ValueError):
+        table[0] = 0.0
 
 
 def test_tv_distance_bounds():
