@@ -63,11 +63,6 @@ class UpdateStream:
         sites = self.free[(w[:, 0] * self.free.size).astype(np.int64)]
         return sites, np.ascontiguousarray(w[:, 1])
 
-    def next_uniforms(self, count: int) -> np.ndarray:
-        """Threshold uniforms only; consumes whole pairs to stay aligned."""
-        _, us = self.next_updates(count)
-        return us
-
 
 def run_chain(m: IsingModel, s0: np.ndarray, steps: int, stream: UpdateStream) -> np.ndarray:
     """Advance a chain ``steps`` updates from s0; returns the final state."""
@@ -92,7 +87,6 @@ class CouplingResult:
 
     coupled: bool
     steps: int  # first-agreement step (1-based) if coupled, else the cap
-    cap: int
     checkpoints: list[tuple[int, int]]  # (step, Hamming distance)
 
 
@@ -157,8 +151,8 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream) -> Coupl
                                                    p_lo, p_hi)
         if violation >= 0 or ham2 != 0:
             raise MonotonicityError("met chains split during post-meeting audit")
-        return CouplingResult(True, met_at, cap, recorded)
-    return CouplingResult(False, cap, cap, recorded)
+        return CouplingResult(True, met_at, recorded)
+    return CouplingResult(False, cap, recorded)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ in numpy, with the draws and results of node-by-node loops.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -118,15 +119,11 @@ class WeightedGraph:
         """Source vertex of each directed half-edge, aligned with indices."""
         return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
-    def edge_array(self) -> np.ndarray:
-        """Edges as an (m, 2) int64 array with u < v, lexicographically sorted."""
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the u < v pairs as an (m, 2) int64 array in lexicographic order, their couplings)."""
         rows = self.rows()
         keep = rows < self.indices
-        return np.column_stack([rows[keep], self.indices[keep]])
-
-    def edge_weights(self) -> np.ndarray:
-        """Couplings aligned with edge_array()."""
-        return self.weights[self.rows() < self.indices]
+        return np.column_stack([rows[keep], self.indices[keep]]), self.weights[keep]
 
     def beta_max(self) -> float:
         return float(self.weights.max()) if self.weights.size else 0.0
@@ -209,12 +206,9 @@ class RootedTree:
     def height(self) -> int:
         return int(self.depth[-1])
 
-    def num_children(self) -> np.ndarray:
-        return np.bincount(self.parent[1:], minlength=self.size)
-
     def degrees(self) -> np.ndarray:
         """Degree of each node in the tree (children plus parent link)."""
-        deg = self.num_children()
+        deg = np.bincount(self.parent[1:], minlength=self.size)
         deg[1:] += 1
         return deg
 
@@ -506,6 +500,13 @@ def generate_galton_watson(d: float, depth: int, seed: int) -> RootedTree:
 # file format
 
 
+def _opened(path_or_file, mode: str):
+    """``open(path_or_file, mode)`` for a path; a caller's open file as is, left open."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        return open(path_or_file, mode)
+    return contextlib.nullcontext(path_or_file)
+
+
 def write_graph(g: WeightedGraph, path_or_file, comment: str | None = None) -> None:
     """Serialize a graph to the plain-text exchange format.
 
@@ -513,37 +514,26 @@ def write_graph(g: WeightedGraph, path_or_file, comment: str | None = None) -> N
     lines "u v coupling" with u < v in lexicographic order, then n field
     lines "v h".  Clamps are runtime state and are not stored.
     """
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    f = open(path_or_file, "w") if own else path_or_file
-    try:
+    with _opened(path_or_file, "w") as f:
         if comment:
             for line in comment.splitlines():
                 f.write(f"# {line}\n")
-        edges = g.edge_array()
-        wts = g.edge_weights()
+        edges, wts = g.edges()
         f.write(f"{g.n} {g.num_edges}\n")
         for (u, v), w in zip(edges, wts):
             f.write(f"{u} {v} {float(w)!r}\n")
         for v in range(g.n):
             f.write(f"{v} {float(g.h[v])!r}\n")
-    finally:
-        if own:
-            f.close()
 
 
 def read_graph(path_or_file) -> WeightedGraph:
     """Parse the plain-text graph format written by :func:`write_graph`."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    f = open(path_or_file, "r") if own else path_or_file
-    try:
+    with _opened(path_or_file, "r") as f:
         tokens = []
         for line in f:
             line = line.split("#", 1)[0].strip()
             if line:
                 tokens.append(line.split())
-    finally:
-        if own:
-            f.close()
     if not tokens:
         raise ValueError("empty graph file")
     if len(tokens[0]) != 2:

@@ -67,7 +67,6 @@ def chain_steps(adjacency, h, p_lo, p_hi, spins, v_arr, u_arr):
                 p = e / (1.0 + e)
             s[v] = 1 if u <= p else -1
     spins[:] = s
-    return 0
 
 
 def coupled_steps(adjacency, h, upper, lower, ham_start, v_arr, u_arr, p_lo, p_hi):
@@ -93,6 +92,7 @@ def coupled_steps(adjacency, h, upper, lower, ham_start, v_arr, u_arr, p_lo, p_h
     up = upper.tolist()
     lo = lower.tolist()
     ham = ham_start
+    met = violation = -1
     for t, v, u in zip(count(), memoryview(v_arr), memoryview(u_arr)):
         if u <= p_lo[v]:
             nu = nl = 1
@@ -125,18 +125,16 @@ def coupled_steps(adjacency, h, upper, lower, ham_start, v_arr, u_arr, p_lo, p_h
             if not was_diff:
                 ham += 1
             if nu < nl:
-                upper[:] = up
-                lower[:] = lo
-                return ham, -1, t
+                violation = t
+                break
         elif was_diff:
             ham -= 1
             if ham == 0:
-                upper[:] = up
-                lower[:] = lo
-                return 0, t, -1
+                met = t
+                break
     upper[:] = up
     lower[:] = lo
-    return ham, -1, -1
+    return ham, met, violation
 
 
 def tree_root_field(parent, edge_beta, h_node, clamp_node):

@@ -45,7 +45,7 @@ class IsingModel:
             raise SizeError(f"exact enumeration capped at {EXACT_ENUM_CAP} vertices, got {n}")
         idx = np.arange(1 << n, dtype=np.int64)
         logw = np.zeros(1 << n)
-        for (u, v), b in zip(g.edge_array(), g.edge_weights()):
+        for (u, v), b in zip(*g.edges()):
             disagree = ((idx >> int(u)) ^ (idx >> int(v))) & 1
             logw += b * (1.0 - 2.0 * disagree)
         for v in range(n):
@@ -112,10 +112,9 @@ class ExactDistribution:
 
 def _allowed_states(m: IsingModel, pins: np.ndarray) -> np.ndarray:
     """Mask of the bitmask states that agree with ``pins`` (+-1 pinned, 0 free)."""
-    idx = np.arange(m.log_weights.size, dtype=np.int64)  # the size cap fires first
-    ok = np.ones(idx.size, dtype=bool)
-    for v in np.flatnonzero(pins):
-        ok &= ((idx >> v) & 1) == (pins[v] > 0)
+    ok = np.ones(m.log_weights.size, dtype=bool)  # the size cap fires first
+    for v in np.flatnonzero(pins):  # axis 1 of the view is bit v
+        ok.reshape(-1, 2, 1 << v)[:, int(pins[v] < 0)] = False
     return ok
 
 
@@ -165,7 +164,7 @@ def exact_conditional_marginal(m: IsingModel, v: int, cond: dict[int, int] | Non
     if not ok.any():
         raise ConditioningError("conditioning event has probability zero")
     mass, _ = _shifted_mass(m.log_weights, ok)
-    num = mass[((np.arange(1 << m.n) >> v) & 1) == 1].sum()
+    num = mass.reshape(-1, 2, 1 << v)[:, 1].ravel().sum()  # the s_v = +1 states, in order
     return float(num / mass.sum())
 
 
@@ -196,9 +195,7 @@ def clamp_large_fields(m: IsingModel) -> IsingModel:
     pins[free & (g.h < -threshold)] = -1
     h = g.h.copy()
     edges = []
-    ea = g.edge_array()
-    ew = g.edge_weights()
-    for (u, v), b in zip(ea, ew):
+    for (u, v), b in zip(*g.edges()):
         pu, pv = pins[u], pins[v]
         if pu == 0 and pv == 0:
             edges.append((int(u), int(v), float(b)))

@@ -66,7 +66,7 @@ def algorithm1_samples(m: IsingModel, depth_limit: int, streams: list[UpdateStre
     """
     free = m.graph.free_vertices()
     sizes = saw_tree_sizes(m.graph, free, depth_limit, max_nodes)
-    us = [stream.next_uniforms(free.size) for stream in streams]
+    us = [stream.next_updates(free.size)[1] for stream in streams]
     spins = [m.graph.clamp.copy() for _ in streams]
     ps = np.empty((len(streams), free.size))
     trees = build_saw_trees(m.graph, free, depth_limit, max_nodes, screened=True)

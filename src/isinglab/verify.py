@@ -235,31 +235,11 @@ def tree_boundary_suite(trees: int = 1000, offspring: float = 2.0, max_depth: in
 
 
 def _free_tree_canonical(adj: list[list[int]]) -> str:
-    """Isomorphism-invariant string of a free tree via its center."""
-    n = len(adj)
-    if n == 1:
-        return "()"
-    deg = [len(a) for a in adj]
-    alive = [True] * n
-    remaining = n
-    layer = [v for v in range(n) if deg[v] == 1]
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            alive[v] = False
-            remaining -= 1
-            for w in adj[v]:
-                if alive[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centers = [v for v in range(n) if alive[v]]
-
+    """Isomorphism-invariant string of a free tree: its least rooted form over all roots."""
     def rooted(u: int, p: int) -> str:
         return "(" + "".join(sorted(rooted(w, u) for w in adj[u] if w != p)) + ")"
 
-    return min(rooted(c, -1) for c in centers)
+    return min(rooted(r, -1) for r in range(len(adj)))
 
 
 @lru_cache(maxsize=None)
@@ -267,8 +247,8 @@ def enumerate_tree_shapes(max_n: int) -> tuple[tuple[int, ...], ...]:
     """All free tree shapes on 1..max_n vertices, one parent array each.
 
     Runs over every level-ordered parent sequence (non-decreasing with
-    parent[i] < i; each shape occurs there) and deduplicates by a canonical
-    form rooted at the tree center.
+    parent[i] < i; each shape occurs there) and deduplicates by the least
+    rooted form over all roots.
     """
     shapes: dict[str, tuple[int, ...]] = {}
     for n in range(1, max_n + 1):

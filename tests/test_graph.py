@@ -85,6 +85,13 @@ def test_file_round_trip(tmp_path):
     assert np.array_equal(back.h, g.h)
     # second serialization is byte-identical
     assert _text(back) == _text(g)
+    # a caller's open buffer gets the same text and stays open both ways
+    buf = io.StringIO()
+    write_graph(g, buf, comment="round trip\nsecond line")
+    assert not buf.closed and buf.getvalue() == path.read_text()
+    buf.seek(0)
+    assert _text(read_graph(buf)) == _text(g)
+    assert not buf.closed
 
 
 def test_text_round_trip_exact_floats():

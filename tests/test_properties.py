@@ -36,11 +36,15 @@ from isinglab.graph import (  # noqa: E402
     write_graph,
 )
 from isinglab.model import (  # noqa: E402
+    _allowed_states,
+    _shifted_mass,
     all_minus,
     all_plus,
     exact_conditional_marginal,
+    exact_distribution,
     make_model,
     merge_conditioning,
+    normalize_log_weights,
     respects_clamps,
 )
 from isinglab.sampler import algorithm1_output_law, algorithm1_samples  # noqa: E402
@@ -337,9 +341,9 @@ def test_brackets_at_radii_match_one_build_per_radius(case, data):
 
 
 @st.composite
-def clamped_models(draw, fields=st.floats(-4.0, 4.0)):
-    """Connected model on <= 8 vertices: a random tree, a few chords, clamps."""
-    n = draw(st.integers(1, 8))
+def clamped_models(draw, fields=st.floats(-4.0, 4.0), max_n=8):
+    """Connected model on <= max_n vertices: a random tree, a few chords, clamps."""
+    n = draw(st.integers(1, max_n))
     betas = st.floats(0.05, 1.5)
     edges = {(draw(st.integers(0, i - 1)), i): draw(betas) for i in range(1, n)}
     for _ in range(draw(st.integers(0, 3)) if n > 2 else 0):
@@ -396,7 +400,7 @@ def test_tree_model_matches_reference_construction(m, data):
 def _reference_draw(m, depth, stream):
     """One draw that rebuilds every walk tree and conditions through a dict."""
     free = m.graph.free_vertices()
-    us = stream.next_uniforms(free.size)
+    us = stream.next_updates(free.size)[1]
     spins = m.graph.clamp.copy()
     cond, ps = {}, []
     for i, v in enumerate(free):
@@ -1036,3 +1040,74 @@ def test_walk_tree_marginal_and_bracket_match_enumeration(m, data):
     for depth in range(m.n + 2):
         lo, hi = saw_marginal_bracket(m, v, depth, cond=cond)
         assert lo - 1e-12 <= exact <= hi + 1e-12, depth
+
+
+# ---------------------------------------------------------------------------
+# state masks against a 2^n index-array reference
+
+
+def _reference_allowed_states(m, pins):
+    """Shift-and-compare mask over an index array of all 2^n states."""
+    idx = np.arange(1 << m.n, dtype=np.int64)
+    ok = np.ones(idx.size, dtype=bool)
+    for v in np.flatnonzero(pins):
+        ok &= ((idx >> v) & 1) == (pins[v] > 0)
+    return ok
+
+
+def _reference_conditional_marginal(m, v, cond):
+    """P(s_v = +1 | cond) with the numerator's states picked by an index array."""
+    mass, _ = _shifted_mass(m.log_weights, _reference_allowed_states(m, merge_conditioning(m, cond)))
+    num = mass[((np.arange(1 << m.n) >> v) & 1) == 1].sum()
+    return float(num / mass.sum())
+
+
+def _assert_masks_match(m, pins, conds):
+    """Masks, the clamped law and each (v, cond) conditional, bit for bit."""
+    for p in (pins, m.graph.clamp):
+        assert _allowed_states(m, p).tobytes() == _reference_allowed_states(m, p).tobytes()
+    want, log_z = normalize_log_weights(m.log_weights, _reference_allowed_states(m, m.graph.clamp))
+    got = exact_distribution(m)
+    assert got.probs.tobytes() == want.tobytes()
+    assert got.log_z.hex() == log_z.hex()
+    for v, cond in conds:
+        assert (exact_conditional_marginal(m, v, cond).hex()
+                == _reference_conditional_marginal(m, v, cond).hex())
+
+
+def _end_conditions(m, v, spins):
+    """Bit 0 and bit n - 1 conditioned to ``spins``, where free and not v."""
+    return {u: s for u, s in zip((0, m.n - 1), spins) if u != v and m.graph.clamp[u] == 0}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(clamped_models(max_n=12), st.data())
+def test_state_masks_match_the_index_array_reference(m, data):
+    signs = st.sampled_from([0, 1, -1])
+    pins = np.array(data.draw(st.lists(signs, min_size=m.n, max_size=m.n)), dtype=np.int8)
+    pins[[0, -1]] = data.draw(st.tuples(spin, spin))  # bit 0 and bit n - 1 pinned
+    conds = []
+    free = m.graph.free_vertices().tolist()
+    for v in free:
+        others = [u for u in free if u != v]
+        conds.append((v, _end_conditions(m, v, data.draw(st.tuples(spin, spin)))))
+        if others:
+            conds.append((v, data.draw(st.dictionaries(st.sampled_from(others), spin,
+                                                       max_size=3))))
+    _assert_masks_match(m, pins, conds)
+
+
+def test_state_masks_match_the_reference_past_numpys_reduction_buffer():
+    # numpy sums a strided view in 8192-element buffers, which regroups the
+    # numerator's terms from n = 16 on; the contiguous copy keeps them pairwise
+    rng = np.random.default_rng(17)
+    n = 17
+    edges = [(i, i + 1, 0.3 + 0.05 * (i % 4)) for i in range(n - 1)] + [(0, 9, 0.4), (3, 14, 0.2)]
+    clamp = np.zeros(n, dtype=np.int8)
+    clamp[[5, 11]] = 1, -1
+    m = make_model(graph_from_edges(n, edges, h=rng.normal(0.0, 1.0, n), clamp=clamp))
+    pins = clamp.copy()
+    pins[[0, -1]] = -1, 1
+    conds = [(v, cond) for v in m.graph.free_vertices().tolist()
+             for cond in ({}, _end_conditions(m, v, (1, -1)))]
+    _assert_masks_match(m, pins, conds)
