@@ -121,30 +121,27 @@ def monotone_coupled_run(m: IsingModel, cap: int, stream: UpdateStream) -> Coupl
     h = m.graph.h.tolist()
     p_lo, p_hi = m.graph.plus_prob_bounds
     ham = int(np.count_nonzero(upper != lower))
-    marks = default_checkpoints(cap)
     recorded: list[tuple[int, int]] = []
     done = 0
     met_at = -1
-    mark_i = 0
-    while done < cap and met_at < 0:
-        horizon = marks[mark_i] if mark_i < len(marks) else cap
-        k = min(_STEP_BLOCK, horizon - done)
-        vs, us = stream.next_updates(k)
-        ham, coupled_at, violation = kernels.coupled_steps(
-            adjacency, h, upper, lower, ham, vs, us, p_lo, p_hi,
-        )
-        if violation >= 0:
-            raise MonotonicityError(
-                f"order violated at step {done + violation + 1}"
+    for mark in default_checkpoints(cap):
+        while done < mark and met_at < 0:
+            k = min(_STEP_BLOCK, mark - done)
+            vs, us = stream.next_updates(k)
+            ham, coupled_at, violation = kernels.coupled_steps(
+                adjacency, h, upper, lower, ham, vs, us, p_lo, p_hi,
             )
-        if coupled_at >= 0:
-            met_at = done + coupled_at + 1
-        done += k
-        if mark_i < len(marks) and done == marks[mark_i]:
+            if violation >= 0:
+                raise MonotonicityError(f"order violated at step {done + violation + 1}")
+            if coupled_at >= 0:
+                met_at = done + coupled_at + 1
+            done += k
+        if done == mark:  # the block that met the chains may end at a checkpoint
             if np.any(upper < lower):
                 raise MonotonicityError(f"order violated at checkpoint {done}")
             recorded.append((done, int(ham)))
-            mark_i += 1
+        if met_at >= 0:
+            break
     if met_at >= 0:
         vs, us = stream.next_updates(POST_COUPLING_AUDIT)
         ham2, _, violation = kernels.coupled_steps(adjacency, h, upper, lower, 0, vs, us,
@@ -303,8 +300,6 @@ def exact_mixing_time(t: TransitionMatrix) -> int:
         powers[s] = nxt
         if s > MIXING_STEP_CAP:
             raise SizeError(f"mixing time exceeds step cap {MIXING_STEP_CAP}")
-    if s == 1:
-        return 1
     lo, hi = s // 2, s  # tv(lo) > TV_THRESHOLD >= tv(hi)
 
     def power_of(e: int) -> np.ndarray:

@@ -87,33 +87,20 @@ class WeightedGraph:
 
         Built on first use.  The kernels sum v's local field as h[v] plus
         w * s over v's CSR row in row order; the bounds sum h[v] -+ |w| in
-        that order, one vectorised pass per row slot, and round-to-nearest
-        is monotone, so no neighbour state takes the field past them.  The
-        margin covers ``np.exp`` here against the kernels' ``math.exp`` and
-        the logistic's ulp-level non-monotonicity.
+        that order, as ``ufunc.at`` applies the half-edges in index order,
+        and round-to-nearest is monotone, so no neighbour state takes the
+        field past them.  The margin covers ``np.exp`` here against the
+        kernels' ``math.exp`` and the logistic's ulp-level non-monotonicity.
         """
-        deg = np.diff(self.indptr)
-        order = np.argsort(-deg, kind="stable")  # the c widest rows lead
-        start, mag = self.indptr[order], np.abs(self.weights)
-        f = np.stack([self.h[order], self.h[order]])  # the low and the high field
+        rows, mag = self.rows(), np.abs(self.weights)
+        f = np.stack([self.h, self.h])  # the low and the high field
         with np.errstate(over="ignore"):  # a field past the float range is an infinite one
-            for k, c in enumerate(self.n - np.cumsum(np.bincount(deg))[:-1]):
-                w = mag[start[:c] + k]  # slot k of every row wider than k
-                f[0, :c] -= w
-                f[1, :c] += w
+            np.subtract.at(f[0], rows, mag)
+            np.add.at(f[1], rows, mag)
             e = np.exp(-2.0 * np.abs(f))
-        p = np.empty_like(f)
-        p[:, order] = np.where(f >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        p = np.where(f >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
         p += [[-PLUS_PROB_MARGIN], [PLUS_PROB_MARGIN]]
         return p[0].tolist(), p[1].tolist()
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """(neighbor ids, couplings) for v, ids ascending."""
-        lo, hi = self.indptr[v], self.indptr[v + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
 
     def rows(self) -> np.ndarray:
         """Source vertex of each directed half-edge, aligned with indices."""
@@ -232,6 +219,22 @@ def make_rooted_tree(parent, depth=None, label=None) -> RootedTree:
     return RootedTree(_freeze(parent.copy()), _freeze(depth.copy()), _freeze(label.copy()))
 
 
+def split_forest(tree: np.ndarray, parent: np.ndarray):
+    """(order, local parent, first) of a forest grown a level at a time.
+
+    Node i, of tree ``tree[i]`` with parent ``parent[i]`` (-1 at a root), is
+    numbered level by level, each level grouped by tree in tree order.
+    ``order`` lists the nodes tree after tree, each tree's in level order;
+    local parent j is node ``order[j]``'s parent as an index into its tree
+    (-1 at a root); and tree t holds positions ``first[t]`` to ``first[t + 1]``.
+    """
+    order = np.argsort(tree, kind="stable")
+    first = np.concatenate([[0], np.cumsum(np.bincount(tree))])
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size) - first[tree[order]]  # each node's index in its tree
+    return order, np.where(parent < 0, -1, local[parent])[order], first
+
+
 def tree_as_graph(tree: RootedTree, edge_beta=1.0, h=None, clamp=None) -> WeightedGraph:
     """The tree itself as a WeightedGraph on vertex ids = node indices.
 
@@ -282,9 +285,7 @@ def ball(g: WeightedGraph, v: int, radius: int) -> Ball:
     for level in range(1, radius + 1):
         nxt = []
         for u in frontier:
-            nbrs, _ = g.neighbors(u)
-            for w in nbrs:
-                w = int(w)
+            for w, _ in g.adjacency[u]:
                 if w not in dist_of:
                     dist_of[w] = level
                     order.append(w)
@@ -295,11 +296,9 @@ def ball(g: WeightedGraph, v: int, radius: int) -> Ball:
     dist = np.array([dist_of[u] for u in order], dtype=np.int64)
     edges = []
     for u in order:
-        nbrs, wts = g.neighbors(u)
-        for w, b in zip(nbrs, wts):
-            w = int(w)
+        for w, b in g.adjacency[u]:
             if w in local and u < w:
-                edges.append((local[u], local[w], float(b)))
+                edges.append((local[u], local[w], b))
     sub = graph_from_edges(
         len(order), edges,
         h=g.h[vertices], clamp=g.clamp[vertices],
@@ -473,16 +472,12 @@ def galton_watson_trees(d: float, depth: int, seeds) -> Iterator[RootedTree]:
                             if wide[i] and size[i] > DEFAULT_VISIT_BUDGET), bad)
                 cut = int(np.searchsorted(tids[-1], bad))
                 tids[-1], parents[-1], wide = tids[-1][:cut], parents[-1][:cut], wide[:bad]
-        tid, parent = np.concatenate(tids), np.concatenate(parents)
-        depths = np.repeat(np.arange(len(tids)), list(map(len, tids)))
-        order = np.argsort(tid, kind="stable")  # each tree's nodes together, still in level order
-        first = np.cumsum(size) - size
-        local = order.argsort(kind="stable") - first[tid]  # each node's index in its tree
-        parent, depths = np.where(parent < 0, -1, local[parent])[order], depths[order]
-        for i, (a, b) in enumerate(zip(first.tolist(), size)):
+        order, parent, first = split_forest(np.concatenate(tids), np.concatenate(parents))
+        depths = np.repeat(np.arange(len(tids)), list(map(len, tids)))[order]
+        for i, (a, b) in enumerate(zip(first[:-1].tolist(), first[1:].tolist())):
             if i == bad:
                 raise BudgetError(f"tree exceeded {DEFAULT_VISIT_BUDGET} nodes")
-            yield make_rooted_tree(parent[a:a + b], depths[a:a + b])
+            yield make_rooted_tree(parent[a:b], depths[a:b])
         width = max(1, min(2 * width, width * GW_CHUNK_NODES // order.size))
 
 

@@ -158,6 +158,8 @@ def merge_conditioning(m: IsingModel, cond: dict[int, int] | None) -> np.ndarray
 def exact_conditional_marginal(m: IsingModel, v: int, cond: dict[int, int] | None = None) -> float:
     """P(s_v = +1 | conditioned spins), by brute-force enumeration."""
     pins = merge_conditioning(m, cond)
+    if not 0 <= v < m.n:
+        raise ConditioningError(f"query vertex {v} out of range")
     if pins[v] != 0:
         raise ConditioningError(f"query vertex {v} is pinned")
     ok = _allowed_states(m, pins)

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetError, ConditioningError
-from .graph import WeightedGraph, csr_slots, make_rooted_tree
+from .graph import WeightedGraph, csr_slots, make_rooted_tree, split_forest
 from .model import IsingModel, merge_conditioning, plus_prob
 from .treecalc import TreeModel, boundary_bracket, root_marginal
 
@@ -78,8 +78,8 @@ def build_saw_trees(g: WeightedGraph, roots, depth_limit: int,
     rank = np.full(g.n, roots.size) if screened else None  # index in roots, -1 if clamped
     if screened:
         rank[roots], rank[g.clamp != 0] = np.arange(roots.size), -1
-    for levels, counts in _forests(g, roots, depth_limit, max_nodes, False, rank=rank):
-        yield from _level_trees(levels, counts, g)
+    for levels, _ in _forests(g, roots, depth_limit, max_nodes, False, rank=rank):
+        yield from _level_trees(levels, g)
 
 
 def saw_brackets_at_radii(m: IsingModel, v: int, radii,
@@ -245,29 +245,23 @@ def _grow_forest(g: WeightedGraph, roots: np.ndarray, depth_limit: int, max_node
     return levels, counts, depth_limit
 
 
-def _level_trees(levels, counts: np.ndarray, g: WeightedGraph) -> Iterator[TreeModel]:
+def _level_trees(levels, g: WeightedGraph) -> Iterator[TreeModel]:
     """Yield each tree of the forest with its nodes in the builder's level order.
 
-    Every level is grouped by root in root order, so a stable sort of the
-    concatenated levels by root gives each tree its levels in depth order.
-    Couplings and fields are gathered from ``g`` and the clamps are the
-    cycle-closure pins.
+    Every level is grouped by root in root order, as :func:`split_forest`
+    takes it.  Couplings and fields are gathered from ``g`` and the clamps
+    are the cycle-closure pins.
     """
     sizes = [lv[0].size for lv in levels]
     depth = np.repeat(np.arange(len(levels)), sizes)
     parent, vertex, root, edge, pin = (np.concatenate(a) for a in zip(*levels))
     beta = np.concatenate([np.zeros(sizes[0]), g.weights[edge[sizes[0]:]]])  # roots first
-    parent += (np.cumsum(sizes) - sizes)[depth - 1]  # into the forest; roots reset below
-    order = np.argsort(root, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    offset = np.cumsum(counts) - counts
-    parent = rank[parent[order]] - offset[root[order]]
-    parent[offset] = -1
+    parent[sizes[0]:] += (np.cumsum(sizes) - sizes)[depth[sizes[0]:] - 1]  # into the forest
+    order, parent, first = split_forest(root, parent)
     depth, vertex, beta, pin = depth[order], vertex[order], beta[order], pin[order]
     field = g.h[vertex]
-    for lo, n in zip(offset.tolist(), counts.tolist()):
-        part = slice(lo, lo + n)
+    for lo, hi in zip(first[:-1].tolist(), first[1:].tolist()):
+        part = slice(lo, hi)
         tree = make_rooted_tree(parent[part], depth[part], vertex[part])
         yield TreeModel(tree, beta[part].copy(), field[part].copy(), pin[part].copy())
 

@@ -37,7 +37,6 @@ from .dynamics import (
 )
 from .errors import MonotonicityError
 from .graph import (
-    WeightedGraph,
     ball_excesses,
     cycle_graph,
     galton_watson_trees,
@@ -135,6 +134,11 @@ def random_connected_model(rng: np.random.Generator, min_n: int = 2, max_n: int 
     )
 
 
+def _random_pins(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
+    """int8 pins: each vertex pinned with probability ``rate``, to +1 or -1 evenly."""
+    return np.where(rng.random(n) < rate, np.where(rng.random(n) < 0.5, 1, -1), 0).astype(np.int8)
+
+
 # ---------------------------------------------------------------------------
 # walk-tree marginal identity
 
@@ -216,9 +220,9 @@ def tree_boundary_suite(trees: int = 1000, offspring: float = 2.0, max_depth: in
         nn = tree.size
         ebeta = np.concatenate([[0.0], rng.uniform(0.2, 1.0, size=nn - 1)])
         h = rng.uniform(-1.0, 1.0, size=nn)
-        clamp = np.where(rng.random(nn) < 0.1, np.where(rng.random(nn) < 0.5, 1, -1), 0)
+        clamp = _random_pins(rng, nn, 0.1)
         clamp[0] = 0
-        tm = make_tree_model(tree, ebeta, h=h, clamp=clamp.astype(np.int8))
+        tm = make_tree_model(tree, ebeta, h=h, clamp=clamp)
         level = tree.height
         sphere = int(np.count_nonzero(tree.depth == level))
         influence = boundary_influence(tm, level)
@@ -269,14 +273,6 @@ def enumerate_tree_shapes(max_n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(shapes.values())
 
 
-def min_root_path_density(g: WeightedGraph) -> int:
-    """Smallest over roots of the maximal degree-sum path from that root.
-
-    On a tree the walk tree from r is the tree rooted at r.
-    """
-    return min(tree_path_density(st.tree) for st in build_saw_trees(g, range(g.n), g.n))
-
-
 def tree_relaxation_suite(draws: int = 2, max_n: int = 8, tol: float = 1e-9,
                           master_seed: int = DEFAULT_MASTER_SEED) -> SuiteReport:
     """Continuous-time relaxation on every small tree is at most exp(4 beta m).
@@ -292,16 +288,15 @@ def tree_relaxation_suite(draws: int = 2, max_n: int = 8, tol: float = 1e-9,
     for si, parent in enumerate(shapes):
         tree = make_rooted_tree(np.array(parent))
         n = tree.size
-        bare = tree_as_graph(tree)
-        density = min_root_path_density(bare)
+        # the least over roots r of the largest degree sum on a path from r:
+        # on a tree the walk tree from r is the tree rooted at r
+        density = min(tree_path_density(st.tree)
+                      for st in build_saw_trees(tree_as_graph(tree), range(n), n))
         for beta in RELAXATION_BETAS:
             for draw in range(draws):
                 h = rng.uniform(-1.0, 1.0, size=n)
                 while True:
-                    clamp = np.where(
-                        rng.random(n) < 0.2,
-                        np.where(rng.random(n) < 0.5, 1, -1), 0,
-                    ).astype(np.int8)
+                    clamp = _random_pins(rng, n, 0.2)
                     if np.count_nonzero(clamp == 0) >= 1:
                         break
                 g = tree_as_graph(tree, edge_beta=beta, h=h, clamp=clamp)
@@ -360,8 +355,7 @@ def consistency_suite(models: int = 10, removals: int = 15,
     for k in range(models):
         m = random_connected_model(rng, max_n=6, beta_lo=0.1)
         if k % 2 == 1:
-            clamp = np.where(rng.random(m.n) < 0.25,
-                             np.where(rng.random(m.n) < 0.5, 1, -1), 0).astype(np.int8)
+            clamp = _random_pins(rng, m.n, 0.25)
             if np.count_nonzero(clamp == 0) == 0:
                 clamp[0] = 0
             m = make_model(m.graph.with_vertex_data(clamp=clamp))
@@ -521,8 +515,7 @@ def coupling_soundness_suite(min_runs: int = 100, min_steps: int = 10**6,
         if kind == 1:
             g = generate_erdos_renyi(80, 2.0, master_seed + i, beta=0.2)
             rng = substream(master_seed, "verify-coupling-clamps", i)
-            clamp = np.where(rng.random(80) < 0.12,
-                             np.where(rng.random(80) < 0.5, 1, -1), 0).astype(np.int8)
+            clamp = _random_pins(rng, 80, 0.12)
             clamp[0] = 0
             return "er80-clamped", make_model(g.with_vertex_data(clamp=clamp))
         if kind == 2:
@@ -663,8 +656,6 @@ def structure_suite(n: int = 5000, graphs: int = 10, d: float = 2.0,
                 continue
             checked += 1
             sphere = int(np.count_nonzero(tree.depth == a))
-            if sphere == 0:
-                continue
             density = tree_path_density(tree, max_depth=a)
             bound = ((density - a + 1) / a) ** a
             if sphere > bound * (1.0 + 1e-12):

@@ -86,7 +86,8 @@ def test_conditional_plus_prob_matches_enumeration():
         s[g.clamp != 0] = g.clamp[g.clamp != 0]
         free = g.free_vertices()
         v = int(free[rng.integers(free.size)])
-        nbrs, wts = g.neighbors(v)
+        row = slice(g.indptr[v], g.indptr[v + 1])
+        nbrs, wts = g.indices[row], g.weights[row]
         f = float(g.h[v] + wts @ s[nbrs])
         # the conditional from the two states that differ only at v
         probs = exact_distribution(m).probs
@@ -120,6 +121,11 @@ def test_merge_conditioning_conflict():
         merge_conditioning(m, {0: -1})
     merged = merge_conditioning(m, {1: -1})
     assert merged.tolist() == [1, -1]
+    # a query vertex outside [0, n) is rejected as a conditioned one is
+    path = make_model(path_graph(4, 0.5))
+    for v in (-1, 4):
+        with pytest.raises(ConditioningError, match="out of range"):
+            exact_conditional_marginal(path, v)
 
 
 def test_exact_distribution_size_cap():

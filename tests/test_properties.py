@@ -7,11 +7,12 @@ draws the same examples and the suite stays deterministic.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import io  # noqa: E402
 import itertools  # noqa: E402
 import math  # noqa: E402
+import sys  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from unittest import mock  # noqa: E402
 
@@ -25,6 +26,7 @@ from isinglab.dynamics import (  # noqa: E402
 )
 from isinglab.errors import BudgetError, ConditioningError  # noqa: E402
 from isinglab.graph import (  # noqa: E402
+    PLUS_PROB_MARGIN,
     ball,
     ball_excesses,
     generate_erdos_renyi,
@@ -813,6 +815,80 @@ def test_bounds_hold_on_the_knife_edge(g, data):
                                       ham, v_arr, u_arr)
             assert got == want, (v, u.hex())
             assert got_up.tolist() == want_up.tolist() and got_lo.tolist() == want_lo.tolist()
+
+
+def _reference_plus_prob_bounds(g):
+    """The bounds by one vectorised pass per row slot over degree-sorted rows.
+
+    Slot k of every row wider than k is added in one pass, so each row
+    still sums its half-edges in CSR order.
+    """
+    deg = np.diff(g.indptr)
+    order = np.argsort(-deg, kind="stable")  # the c widest rows lead
+    start, mag = g.indptr[order], np.abs(g.weights)
+    f = np.stack([g.h[order], g.h[order]])
+    with np.errstate(over="ignore"):
+        for k, c in enumerate(g.n - np.cumsum(np.bincount(deg))[:-1]):
+            w = mag[start[:c] + k]
+            f[0, :c] -= w
+            f[1, :c] += w
+        e = np.exp(-2.0 * np.abs(f))
+    p = np.empty_like(f)
+    p[:, order] = np.where(f >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    p += [[-PLUS_PROB_MARGIN], [PLUS_PROB_MARGIN]]
+    return p[0].tolist(), p[1].tolist()
+
+
+# fields up to the float range, where h[v] + sum |w| overflows to +-inf
+huge_fields = st.one_of(
+    st.floats(-4.0, 4.0), st.floats(-1e307, 1e307),
+    st.sampled_from([-sys.float_info.max, -1e307, -0.0, 0.0, 1e307, sys.float_info.max]),
+)
+huge_couplings = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e300, 1e300),
+                           st.sampled_from([-1e300, 0.0, 1e300]))
+
+
+@st.composite
+def hub_graphs(draw):
+    """A graph on 1..40 vertices: vertex 0 joined to the first ``hub`` others,
+    a few random edges, isolated vertices, couplings of either sign.
+
+    Couplings and fields are drawn either from the strategies above or as
+    random doubles from a drawn seed, whose sums round differently in
+    different orders far more often than the strategies' simple values do.
+    """
+    n = draw(st.integers(1, 40))
+    hub = draw(st.integers(0, n - 1))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple)
+    extra = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=20)) if n > 1 else []
+    pairs = sorted({(0, j) for j in range(1, hub + 1)} | set(extra))
+    if draw(st.booleans()):
+        w = draw(st.lists(huge_couplings, min_size=len(pairs), max_size=len(pairs)))
+        h = draw(st.lists(huge_fields, min_size=n, max_size=n))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w = rng.uniform(-1.5, 1.5, len(pairs)) * draw(st.sampled_from([1.0, 1e300]))
+        h = rng.normal(0.0, 3.0, n)
+    g = graph_from_edges(n, [(u, v, abs(x)) for (u, v), x in zip(pairs, w)], h=h)
+    sign = dict(zip(pairs, np.copysign(1.0, w).tolist()))
+    return replace(g, weights=g.weights * np.array(
+        [sign[min(a, b), max(a, b)] for a, b in zip(g.rows().tolist(), g.indices.tolist())]))
+
+
+# a hub whose fields pass the float range both ways, one vertex alone
+_past_the_float_range = graph_from_edges(
+    5, [(0, j, 1e300) for j in range(1, 4)],
+    h=[sys.float_info.max, -sys.float_info.max, 1e307, -1e307, 0.0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(hub_graphs())
+@example(graph_from_edges(1, [], h=[-1e307]))
+@example(_past_the_float_range)
+def test_plus_prob_bounds_keep_the_slot_pass_bits(g):
+    got, want = g.plus_prob_bounds, _reference_plus_prob_bounds(g)
+    for side in range(2):
+        assert [x.hex() for x in got[side]] == [x.hex() for x in want[side]]
 
 
 def test_coupled_kernel_writes_back_on_violation():

@@ -45,8 +45,8 @@ def test_tests_have_no_unused_imports():
     assert _files_with_unused_imports(ROOT / "tests") == {}
 
 
-# Public names that no module of the package loads, each with the file
-# outside ``src/`` that looks it up.
+# Public names, methods and properties included, that no module of the
+# package loads, each with the file outside ``src/`` that looks it up.
 KEPT = {
     "ball": "perfbench/spans.py",
     "tree_excess": "perfbench/spans.py",
@@ -92,6 +92,19 @@ def test_every_public_name_in_src_has_a_caller():
                 name in loads for other, loads in statements if other is not node
             ):
                 unused.add(name)
+    # Public methods and properties of classes, each loaded outside its own
+    # definition: by another method, by a function or by a module constant.
+    # They are checked by name only, so a name that two classes share, such
+    # as ``size``, counts as loaded wherever either is.
+    members = [(sub, _loaded_names(sub)) for node, _ in statements
+               if isinstance(node, ast.ClassDef) for sub in node.body]
+    units = [(node, loads) for node, loads in statements
+             if not isinstance(node, ast.ClassDef)] + members
+    for sub, _ in members:
+        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_") and not any(
+            sub.name in loads for other, loads in units if other is not sub
+        ):
+            unused.add(sub.name)
     assert unused == set(KEPT)
     for name, holder in KEPT.items():
         assert re.search(rf"\b{name}\b", (ROOT / holder).read_text()), (name, holder)
