@@ -8,7 +8,7 @@ all-down chains sandwich every other start and their meeting time bounds
 mixing from above.
 
 Desk-scale tools build the full transition matrix over the free spins,
-extract the spectral gap via the symmetrized form, and locate the exact
+take the relaxation time from the symmetrized form, and locate the exact
 mixing time at total-variation threshold 1/(2e).
 """
 
@@ -237,19 +237,14 @@ def build_block_transition_matrix(m: IsingModel, blocks: list[list[int]]) -> Tra
     _, stationary = _free_state_law(m)
     checked = _check_blocks(m, blocks)
     free = m.graph.free_vertices()
-    size = 1 << free.size
-    pos_of = {int(v): i for i, v in enumerate(free)}
-    mat = np.zeros((size, size))
+    states = np.arange(1 << free.size)
+    mat = np.zeros((states.size, states.size))
     for block in checked:
-        bits = np.array([pos_of[int(v)] for v in block], dtype=np.int64)
-        mask = 0
-        for b in bits:
-            mask |= 1 << int(b)
-        groups: dict[int, list[int]] = {}
-        for s in range(size):
-            groups.setdefault(s & ~mask, []).append(s)
-        for members in groups.values():
-            idx = np.array(members, dtype=np.int64)
+        # states that agree outside the block share one conditional law;
+        # each group's indices ascend, as the free-state order does
+        outside = states & ~int((1 << np.searchsorted(free, block)).sum())
+        for o in np.unique(outside):
+            idx = np.flatnonzero(outside == o)
             pi = stationary[idx]
             total = pi.sum()
             if total <= 0.0:
@@ -259,12 +254,12 @@ def build_block_transition_matrix(m: IsingModel, blocks: list[list[int]]) -> Tra
     return _transition_matrix(mat, stationary, free)
 
 
-def spectral_analysis(t: TransitionMatrix) -> tuple[float, float]:
-    """(spectral gap, relaxation time) of a reversible transition matrix.
+def relaxation_time(t: TransitionMatrix) -> float:
+    """Relaxation time of a reversible transition matrix, in single transitions.
 
-    The gap is min(1 - second eigenvalue, 1 - |most negative eigenvalue|)
-    of the similarity-symmetrized matrix; relaxation time is its inverse,
-    in units of single transitions.
+    It is the inverse of the spectral gap, min(1 - second eigenvalue,
+    1 - |most negative eigenvalue|) of the similarity-symmetrized matrix;
+    a model has a free vertex, so the matrix has at least two eigenvalues.
     """
     if not t.reversible:
         raise ValueError("spectral analysis requires a reversible matrix")
@@ -272,12 +267,10 @@ def spectral_analysis(t: TransitionMatrix) -> tuple[float, float]:
     sym = t.matrix * (root[:, None] / root[None, :])
     sym = 0.5 * (sym + sym.T)
     ev = np.linalg.eigvalsh(sym)
-    lam2 = ev[-2] if ev.size >= 2 else -1.0
-    lam_min = ev[0]
-    gap = min(1.0 - lam2, 1.0 - abs(lam_min))
+    gap = min(1.0 - ev[-2], 1.0 - abs(ev[0]))
     if gap <= 0.0:
         raise ValueError("nonpositive spectral gap; chain too slow to resolve")
-    return float(gap), float(1.0 / gap)
+    return float(1.0 / gap)
 
 
 def chain_tv_from_stationary(t: TransitionMatrix, power: np.ndarray) -> float:
@@ -288,34 +281,19 @@ def chain_tv_from_stationary(t: TransitionMatrix, power: np.ndarray) -> float:
 def exact_mixing_time(t: TransitionMatrix) -> int:
     """Smallest s with worst-start TV(P^s, stationary) <= TV_THRESHOLD.
 
-    Worst-start TV is nonincreasing in s, so a doubling sweep followed by
-    a binary search on cached powers locates the crossing exactly.
+    Worst-start TV is nonincreasing in s.  Squaring finds the first power
+    of two at or past the crossing; binary lifting then multiplies in the
+    cached P^(2^j), largest first, wherever TV stays above the threshold,
+    so the powers it keeps add up to s - 1.
     """
-    mat = t.matrix
-    powers = {1: mat}
-    s = 1
-    while chain_tv_from_stationary(t, powers[s]) > TV_THRESHOLD:
-        nxt = powers[s] @ powers[s]
-        s *= 2
-        powers[s] = nxt
-        if s > MIXING_STEP_CAP:
+    squares = [t.matrix]  # squares[j] = P^(2^j)
+    while chain_tv_from_stationary(t, squares[-1]) > TV_THRESHOLD:
+        if 1 << len(squares) > MIXING_STEP_CAP:
             raise SizeError(f"mixing time exceeds step cap {MIXING_STEP_CAP}")
-    lo, hi = s // 2, s  # tv(lo) > TV_THRESHOLD >= tv(hi)
-
-    def power_of(e: int) -> np.ndarray:
-        out = None
-        b = 1
-        while e:
-            if e & 1:
-                out = powers[b] if out is None else out @ powers[b]
-            e >>= 1
-            b *= 2
-        return out
-
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if chain_tv_from_stationary(t, power_of(mid)) > TV_THRESHOLD:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        squares.append(squares[-1] @ squares[-1])
+    steps, power = 0, None  # the longest run found to stay above the threshold
+    for j in reversed(range(len(squares) - 1)):
+        nxt = squares[j] if power is None else power @ squares[j]
+        if chain_tv_from_stationary(t, nxt) > TV_THRESHOLD:
+            steps, power = steps + (1 << j), nxt
+    return steps + 1

@@ -193,12 +193,6 @@ class RootedTree:
     def height(self) -> int:
         return int(self.depth[-1])
 
-    def degrees(self) -> np.ndarray:
-        """Degree of each node in the tree (children plus parent link)."""
-        deg = np.bincount(self.parent[1:], minlength=self.size)
-        deg[1:] += 1
-        return deg
-
 
 def make_rooted_tree(parent, depth=None, label=None) -> RootedTree:
     parent = np.asarray(parent, dtype=np.int64)
@@ -364,9 +358,8 @@ def tree_path_density(tree: RootedTree, max_depth: int | None = None) -> int:
     """
     top = tree.height if max_depth is None else min(max_depth, tree.height)
     first = np.searchsorted(tree.depth, np.arange(top + 2))
-    deg = tree.degrees()[:first[-1]]
-    if top == max_depth:  # the cut's sphere keeps only its parent links
-        deg[first[top]:] = 1 if top else 0
+    deg = np.bincount(tree.parent[1:first[-1]], minlength=first[-1])  # children inside the cut
+    deg[1:] += 1  # and the parent link
     for a, b in zip(first[1:-1], first[2:]):
         deg[a:b] += deg[tree.parent[a:b]]
     return int(deg.max())

@@ -20,6 +20,7 @@ from .errors import ConditioningError, SizeError
 from .graph import WeightedGraph, graph_from_edges
 
 EXACT_ENUM_CAP = 20
+CLAMP_FIELD_FLOOR = 20.0  # clamp_large_fields pins no field of size 20 or less
 
 
 @dataclass(frozen=True)
@@ -180,17 +181,18 @@ def tv_distance(p: ExactDistribution, q: ExactDistribution) -> float:
 # field clamping
 
 def clamp_large_fields(m: IsingModel) -> IsingModel:
-    """Pin every free vertex whose field exceeds 10 * beta_max * n in size.
+    """Pin every free vertex whose field exceeds max(10 * beta_max * n, 20) in size.
 
     Pinned vertices (new and pre-existing) are detached: each incident
     coupling is absorbed into the neighbor's field as +-beta, and the edge
     is dropped.  This preserves the conditional law of the free spins
     exactly; it changes the unconditional law only by the mass of the
-    pinned-away events, which is exponentially small when fields that
-    large are present.
+    pinned-away events.  A pinned vertex's field outweighs its couplings
+    (at most beta_max * n) by more than 18, so that mass is below e^-36,
+    about double resolution, even where beta_max * n is small or zero.
     """
     g = m.graph
-    threshold = 10.0 * m.beta_max * g.n
+    threshold = max(10.0 * m.beta_max * g.n, CLAMP_FIELD_FLOOR)
     pins = g.clamp.copy()
     free = pins == 0
     pins[free & (g.h > threshold)] = 1

@@ -293,6 +293,20 @@ def test_sample_budget_counts_whole_trees(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sample_clamp_keeps_small_fields_free_at_weak_coupling(tmp_path):
+    # 10 * beta * n is 0.005, but no field of size 0.2 or less is large
+    ini = ("[model]\nkind = path\nn = 5\nbeta = 0.001\nh = uniform -0.2 0.2\nseed = 3\n\n"
+           "[sample]\nL = 6\nclamp = {}\n")
+    docs = []
+    for clamp in ("true", "false"):
+        cfg = write(tmp_path, f"weak-{clamp}.ini", ini.format(clamp))
+        out = tmp_path / f"weak-{clamp}.json"
+        assert run(["sample", "-c", cfg, "-o", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    assert docs[0]["clamped"] and not docs[1]["clamped"]
+    assert docs[0]["runs"] == docs[1]["runs"]
+
+
 def test_sample_to_stdout_matches_the_file(tmp_path, capsys):
     cfg = write(tmp_path, "pin.ini", SAMPLE_PIN_INI)
     out = tmp_path / "pin.json"

@@ -451,7 +451,10 @@ def test_path_density_budget():
 
 def node_path_density(tree, max_depth: int | None = None) -> int:
     """tree_path_density one node at a time: the reference for its level-wise sums."""
-    deg = tree.degrees()
+    deg = np.zeros(tree.size, dtype=np.int64)
+    for i in range(1, tree.size):  # a child link at each end
+        deg[i] += 1
+        deg[tree.parent[i]] += 1
     if max_depth is not None:
         kept = tree.depth <= max_depth
         boundary = tree.depth == max_depth

@@ -181,3 +181,13 @@ def test_clamp_large_fields_noop_when_fields_small():
     out = clamp_large_fields(m)
     assert np.array_equal(out.graph.clamp, m.graph.clamp)
     assert np.array_equal(out.graph.h, m.graph.h)
+
+
+def test_clamp_large_fields_pins_no_small_field_at_weak_coupling():
+    # 10 * beta_max * n is 0.05 and 0 here; fields of 0.1 are not large
+    h = [0.1, -0.1, 0.1, -0.1, 0.1]
+    for beta in (0.001, 0.0):
+        m = make_model(path_graph(5, beta).with_vertex_data(h=h))
+        out = clamp_large_fields(m)
+        assert not out.graph.clamp.any()
+        assert np.array_equal(out.graph.h, m.graph.h)

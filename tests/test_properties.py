@@ -18,13 +18,19 @@ from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from isinglab import kernels, sawtree  # noqa: E402
+from isinglab import dynamics, kernels, sawtree  # noqa: E402
 from isinglab.dynamics import (  # noqa: E402
+    TV_THRESHOLD,
     UpdateStream,
+    _check_blocks,
+    _free_state_law,
+    _transition_matrix,
     build_block_transition_matrix,
     build_transition_matrix,
+    chain_tv_from_stationary,
+    exact_mixing_time,
 )
-from isinglab.errors import BudgetError, ConditioningError  # noqa: E402
+from isinglab.errors import BudgetError, ConditioningError, SizeError  # noqa: E402
 from isinglab.graph import (  # noqa: E402
     PLUS_PROB_MARGIN,
     ball,
@@ -34,6 +40,7 @@ from isinglab.graph import (  # noqa: E402
     make_rooted_tree,
     path_graph,
     read_graph,
+    star_graph,
     tree_excess,
     write_graph,
 )
@@ -343,10 +350,9 @@ def test_brackets_at_radii_match_one_build_per_radius(case, data):
 
 
 @st.composite
-def clamped_models(draw, fields=st.floats(-4.0, 4.0), max_n=8):
+def clamped_models(draw, fields=st.floats(-4.0, 4.0), max_n=8, betas=st.floats(0.05, 1.5)):
     """Connected model on <= max_n vertices: a random tree, a few chords, clamps."""
     n = draw(st.integers(1, max_n))
-    betas = st.floats(0.05, 1.5)
     edges = {(draw(st.integers(0, i - 1)), i): draw(betas) for i in range(1, n)}
     for _ in range(draw(st.integers(0, 3)) if n > 2 else 0):
         u = draw(st.integers(0, n - 2))
@@ -566,6 +572,99 @@ def test_transition_matrices_match_spins_matrix_reference(m, data):
     blocks = [[v for v, b in zip(free, labels) if b == j] for j in sorted(set(labels))]
     tb = build_block_transition_matrix(m, blocks)
     assert np.abs(tb.stationary - stationary).max() <= 1e-12
+
+
+def _reference_block_transition_matrix(m, blocks):
+    """build_block_transition_matrix grouping the states of each block in a dict of lists."""
+    _, stationary = _free_state_law(m)
+    checked = _check_blocks(m, blocks)
+    free = m.graph.free_vertices()
+    size = 1 << free.size
+    pos_of = {int(v): i for i, v in enumerate(free)}
+    mat = np.zeros((size, size))
+    for block in checked:
+        mask = 0
+        for v in block:
+            mask |= 1 << pos_of[int(v)]
+        groups: dict[int, list[int]] = {}
+        for s in range(size):
+            groups.setdefault(s & ~mask, []).append(s)
+        for members in groups.values():
+            idx = np.array(members, dtype=np.int64)
+            pi = stationary[idx]
+            mat[np.ix_(idx, idx)] += pi / pi.sum()
+    mat /= len(checked)
+    return _transition_matrix(mat, stationary, free)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(clamped_models(st.floats(-3.0, 3.0)), st.data())
+def test_block_matrices_keep_the_dict_grouping_bits(m, data):
+    free = m.graph.free_vertices().tolist()
+    k = data.draw(st.integers(1, len(free) + 2))
+    # random blocks that may overlap, each free vertex in at least one
+    blocks = [data.draw(st.sets(st.sampled_from(free), max_size=len(free))) for _ in range(k)]
+    for v in free:
+        blocks[data.draw(st.integers(0, k - 1))].add(v)
+    blocks = [sorted(b) for b in blocks if b]
+    got = build_block_transition_matrix(m, blocks)
+    want = _reference_block_transition_matrix(m, blocks)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.stationary.tobytes() == want.stationary.tobytes()
+    assert got.reversible == want.reversible
+
+
+def _reference_mixing_time(t):
+    """exact_mixing_time by doubling, then bisection over products of the cached powers."""
+    powers = {1: t.matrix}
+    s = 1
+    while chain_tv_from_stationary(t, powers[s]) > TV_THRESHOLD:
+        nxt = powers[s] @ powers[s]
+        s *= 2
+        powers[s] = nxt
+        if s > dynamics.MIXING_STEP_CAP:
+            raise SizeError(f"mixing time exceeds step cap {dynamics.MIXING_STEP_CAP}")
+    lo, hi = s // 2, s  # tv(lo) > TV_THRESHOLD >= tv(hi)
+
+    def power_of(e):
+        out = None
+        b = 1
+        while e:
+            if e & 1:
+                out = powers[b] if out is None else out @ powers[b]
+            e >>= 1
+            b *= 2
+        return out
+
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if chain_tv_from_stationary(t, power_of(mid)) > TV_THRESHOLD:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(clamped_models(st.floats(-3.0, 3.0), betas=st.floats(0.0, 2.5)))
+@example(make_model(star_graph(7, 2.5)))  # t_mix = 36,734,902
+def test_mixing_time_matches_the_bisection_reference(m):
+    t = build_transition_matrix(m)
+    assert exact_mixing_time(t) == _reference_mixing_time(t)
+
+
+def test_mixing_time_at_its_smallest_and_past_the_step_cap(monkeypatch):
+    # one spin: P is the stationary law; two independent spins take two steps
+    for g, want in ((path_graph(1), 1), (graph_from_edges(2, []), 2), (path_graph(4, 0.3), 9)):
+        t = build_transition_matrix(make_model(g))
+        assert exact_mixing_time(t) == _reference_mixing_time(t) == want
+    monkeypatch.setattr(dynamics, "MIXING_STEP_CAP", 16)  # P^16 is the last power it squares to
+    assert exact_mixing_time(t) == _reference_mixing_time(t) == 9
+    for cap in (8, 15):  # P^8 is past neither the crossing nor the cap
+        monkeypatch.setattr(dynamics, "MIXING_STEP_CAP", cap)
+        for search in (exact_mixing_time, _reference_mixing_time):
+            with pytest.raises(SizeError, match=f"step cap {cap}"):
+                search(t)
 
 
 # ---------------------------------------------------------------------------

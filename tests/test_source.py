@@ -129,3 +129,51 @@ def test_rooted_trees_are_built_only_by_make_rooted_tree():
              for path in sorted((ROOT / directory).glob("*.py"))
              for caller in _callers("RootedTree", ast.parse(path.read_text(), filename=str(path)))]
     assert found == [("graph.py", "make_rooted_tree")]
+
+
+def _unread_tuple_positions(trees: list[ast.Module], names: set[str]) -> dict[str, set[int]]:
+    """Result positions of each function in ``names`` that every call binds only to ``_``.
+
+    A call counts when it is the whole value of an assignment to one tuple
+    of targets; any other call keeps the whole value and reads every
+    position.  A function without a call is left to the caller check.
+    """
+    unread: dict[str, set[int]] = {}
+    for tree in trees:
+        unpacked = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Tuple)
+                    and not any(isinstance(t, ast.Starred) for t in node.targets[0].elts)):
+                unpacked[id(node.value)] = {i for i, t in enumerate(node.targets[0].elts)
+                                            if isinstance(t, ast.Name) and t.id == "_"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in names:
+                    blanks = unpacked.get(id(node), set())
+                    unread[name] = unread.get(name, blanks) & blanks
+    return {name: positions for name, positions in unread.items() if positions}
+
+
+def test_every_returned_tuple_position_is_read():
+    src = [ast.parse(p.read_text(), filename=str(p))
+           for p in sorted((ROOT / "src" / "isinglab").glob("*.py"))]
+    tests = [ast.parse(p.read_text(), filename=str(p)) for p in sorted((ROOT / "tests").glob("*.py"))]
+    functions = {node.name for tree in src for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    assert _unread_tuple_positions(src + tests, functions) == {}
+
+
+def test_unread_tuple_positions_are_found():
+    tree = ast.parse(
+        "def pair(): return 1, 2\n"
+        "def trio(): return 1, 2, 3\n"
+        "_, b = pair()\n_, c = pair()\n"
+        "_, y, _ = trio()\nx, _, _ = trio()\n"
+        "whole = trio()\n_, *rest = trio()\n"
+    )
+    assert _unread_tuple_positions([tree], {"pair"}) == {"pair": {0}}
+    assert _unread_tuple_positions([tree], {"trio"}) == {}
+    partial = ast.parse("_, y, _ = trio()\nx, _, _ = trio()\n")
+    assert _unread_tuple_positions([partial], {"trio"}) == {"trio": {2}}
